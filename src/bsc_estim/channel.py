@@ -9,7 +9,9 @@ rank-one cascaded channel through the backscattered pilot block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 # Nominal propagation speed used by the link-budget convention (not CODATA c).
@@ -57,19 +59,25 @@ class SystemParams:
             raise ValueError(f"n_antennas must be >= 1, got {self.n_antennas}")
         for name in ("coherence_time", "sample_len", "tx_power", "noise_var",
                      "carrier_freq", "distance", "pathloss_exp"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("tag_amp_ce", "tag_amp_id"):
             v = getattr(self, name)
             if not 0 < v <= 1:
                 raise ValueError(f"{name} must lie in (0, 1], got {v}")
         if self.beta is None:
-            object.__setattr__(
-                self, "beta",
-                path_loss_beta(self.carrier_freq, self.distance, self.pathloss_exp),
-            )
-        elif self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+            try:
+                beta = path_loss_beta(self.carrier_freq, self.distance,
+                                      self.pathloss_exp)
+            except OverflowError:           # distance ** exponent
+                beta = 0.0
+            if beta <= 0:
+                raise ValueError("derived beta underflows to zero for carrier_freq="
+                                 f"{self.carrier_freq}, distance={self.distance}")
+            object.__setattr__(self, "beta", beta)
+        elif not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +95,8 @@ class PilotConfig:
     def __post_init__(self) -> None:
         if self.pilot_count < 1:
             raise ValueError(f"pilot_count must be >= 1, got {self.pilot_count}")
-        if self.ce_time <= 0:
-            raise ValueError(f"ce_time must be positive, got {self.ce_time}")
+        if not 0 < self.ce_time < math.inf:
+            raise ValueError(f"ce_time must be positive and finite, got {self.ce_time}")
 
     def validate_against(self, params: SystemParams) -> None:
         if self.pilot_count > params.n_antennas:

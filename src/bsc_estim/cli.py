@@ -67,9 +67,11 @@ def _cmd_run(args) -> int:
             rows.append(row)
     except Exception as exc:  # noqa: BLE001 - flush what we have, then report
         if rows:
+            # never at the output path, where it would pass for a whole run
+            partial = f"{cfg.output_path}.partial"
             try:
-                write_csv(rows, cfg.output_path)
-                print(f"wrote {len(rows)} partial rows to {cfg.output_path}",
+                write_csv(rows, partial)
+                print(f"wrote {len(rows)} partial rows to {partial}",
                       file=sys.stderr)
             except Exception:
                 pass

@@ -225,6 +225,8 @@ def load_config(path: str) -> ExperimentConfig:
             grid = list(DEFAULT_GRIDS[sweep])
     if not grid:
         raise ConfigError("sweep_grid must be nonempty")
+    if not all(np.isfinite(grid)):
+        raise ConfigError("sweep_grid values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep_grid must be strictly increasing")
 
@@ -421,7 +423,10 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(rows: list[ResultRow], path: str) -> None:
-    """Write rows as UTF-8 CSV with a fixed header and 12-digit values."""
+    """Write rows as UTF-8 CSV with a fixed header and 12-digit values.
+
+    A temporary file beside ``path`` replaces it, so ``path`` is never partial.
+    """
     if not rows:
         raise ValueError("refusing to write an empty result set")
     directory = os.path.dirname(path) or "."
@@ -436,5 +441,11 @@ def write_csv(rows: list[ResultRow], path: str) -> None:
             _fmt(row.std_error),
             str(row.trials),
         ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

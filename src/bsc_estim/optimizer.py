@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import PilotConfig, SystemParams
+from .channel import SystemParams
 from .estimators import LMMSE, LS
 from .snr import snr_approx
 
@@ -150,14 +150,3 @@ def ce_snr_at_k1_optimum(params: SystemParams) -> float:
     return (params.beta ** 2 * params.tag_amp_ce ** 2
             * params.tx_power * tau_c1 / params.noise_var)
 
-
-def joint_pilot_config(params: SystemParams,
-                       quantize: bool = False) -> PilotConfig:
-    """The joint optimum as a PilotConfig, optionally snapped to sample ticks."""
-    from .channel import quantize_ce_time
-
-    outcome = joint_optimize(params)
-    tau_c = outcome.tau_c_opt
-    if quantize:
-        tau_c = quantize_ce_time(tau_c, params.sample_len)
-    return PilotConfig(pilot_count=outcome.k_opt, ce_time=tau_c)

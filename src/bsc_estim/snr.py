@@ -24,10 +24,9 @@ from .estimators import (
     LMMSE,
     LS,
     MatrixEstimate,
-    lmmse_gain,
+    _pilot_energy,
     lmmse_matrix,
     ls_matrix,
-    prior_covariance,
     vector_estimate,
 )
 
@@ -173,14 +172,12 @@ _MSE_MAT_LMMSE = "mse_mat_lmmse"
 
 
 def _trial_chunk(args) -> dict[str, list[float]]:
-    (params, cfg, flavor, seed, t_lo, t_hi, metrics, gain) = args
-    n, k = params.n_antennas, cfg.pilot_count
+    (params, cfg, flavor, seed, t_lo, t_hi, metrics) = args
+    k = cfg.pilot_count
     pilots = build_pilots(k, cfg.ce_time, params.tx_power)
     need_lmmse = flavor == LMMSE or _MSE_MAT_LMMSE in metrics
-    if need_lmmse and gain is None:
-        prior = prior_covariance(params.beta, n, k)
-        gain = lmmse_gain(params.tag_amp_ce * pilots, prior, params.noise_var)
-    prior = prior_covariance(params.beta, n, k) if need_lmmse else None
+    # the E0 that ls_matrix divides by
+    e0 = _pilot_energy(params.tag_amp_ce * pilots)
     vector_metrics = [m for m in metrics if m in (_BEAM2, _BEAM4, _MSE_VEC)]
     out: dict[str, list[float]] = {m: [] for m in metrics}
     for t in range(t_lo, t_hi):
@@ -188,9 +185,8 @@ def _trial_chunk(args) -> dict[str, list[float]]:
         rx = backscatter(chan, pilots, params.tag_amp_ce, params.noise_var,
                          (seed, t, 1))
         est_ls = ls_matrix(rx, cfg)
-        est_lmmse = None
-        if need_lmmse:
-            est_lmmse = lmmse_matrix(rx, cfg, prior, params.noise_var, gain=gain)
+        est_lmmse = (lmmse_matrix(est_ls, params.beta, e0, params.noise_var)
+                     if need_lmmse else None)
         if _MSE_MAT_LS in metrics:
             out[_MSE_MAT_LS].append(
                 float(np.linalg.norm(est_ls.h_hat_matrix - chan.cascaded) ** 2))
@@ -223,17 +219,12 @@ def _mc_samples(params: SystemParams, cfg: PilotConfig, flavor: str, trials: int
     if flavor not in (LS, LMMSE):
         raise ValueError(f"unknown flavor {flavor!r}")
     cfg.validate_against(params)
-    gain = None
-    if flavor == LMMSE or _MSE_MAT_LMMSE in metrics:
-        prior = prior_covariance(params.beta, params.n_antennas, cfg.pilot_count)
-        pilots = build_pilots(cfg.pilot_count, cfg.ce_time, params.tx_power)
-        gain = lmmse_gain(params.tag_amp_ce * pilots, prior, params.noise_var)
 
     if workers <= 1 or trials < 4 * workers:
-        return _trial_chunk((params, cfg, flavor, seed, 0, trials, metrics, gain))
+        return _trial_chunk((params, cfg, flavor, seed, 0, trials, metrics))
 
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    jobs = [(params, cfg, flavor, seed, int(lo), int(hi), metrics, gain)
+    jobs = [(params, cfg, flavor, seed, int(lo), int(hi), metrics)
             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     out: dict[str, list[float]] = {m: [] for m in metrics}
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -54,6 +54,11 @@ class TestSystemParams:
             make_params(tag_amp_ce=1.5)
         with pytest.raises(ValueError):
             make_params(noise_var=0.0)
+        for bad in (dict(noise_var=float("nan")), dict(distance=float("inf")),
+                    dict(beta=float("inf")), dict(tag_amp_id=float("nan")),
+                    dict(distance=1e300), dict(carrier_freq=1e200)):
+            with pytest.raises(ValueError):
+                make_params(**bad)
 
 
 class TestPilotConfig:
@@ -62,6 +67,8 @@ class TestPilotConfig:
             PilotConfig(pilot_count=0, ce_time=1e-4)
         with pytest.raises(ValueError):
             PilotConfig(pilot_count=2, ce_time=0.0)
+        with pytest.raises(ValueError):
+            PilotConfig(pilot_count=2, ce_time=float("nan"))
         cfg = PilotConfig(pilot_count=30, ce_time=2e-3)
         p = make_params()
         with pytest.raises(ValueError):

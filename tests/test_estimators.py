@@ -12,14 +12,17 @@ from bsc_estim import (
     ls_matrix,
     mrc_combiner,
     mrt_precoder,
-    prior_covariance,
     vector_estimate,
 )
 from bsc_estim import estimators
 from bsc_estim.estimators import (
     MatrixEstimate,
-    _head_from_reduction,
+    _candidate,
     _head_single_pilot,
+    _pilot_energy,
+    _reduction_candidates,
+    lmmse_gain,
+    prior_covariance,
 )
 from bsc_estim.snr import matrix_mse_paired
 from conftest import make_params, params_at_ce_snr_db, random_channel_vector
@@ -146,13 +149,31 @@ class TestLmmseMatrix:
             pilots = build_pilots(3, cfg.ce_time, params.tx_power, kind=kind)
             rx = backscatter(chan, pilots, params.tag_amp_ce, params.noise_var,
                              (21, 2))
-            prior = prior_covariance(params.beta, 5, 3)
-            est = lmmse_matrix(rx, cfg, prior, params.noise_var)
-            ls = ls_matrix(rx, cfg).h_hat_matrix
-            expected = lmmse_spectral(ls, 3, params.beta,
+            ls = ls_matrix(rx, cfg)
+            est = lmmse_matrix(ls, params.beta, cfg.pilot_energy(params),
+                               params.noise_var)
+            assert est.flavor == LMMSE
+            expected = lmmse_spectral(ls.h_hat_matrix, 3, params.beta,
                                       cfg.pilot_energy(params), params.noise_var)
             assert np.linalg.norm(est.h_hat_matrix - expected) \
                 <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("kind", ["identity", "dft"])
+    @pytest.mark.parametrize("n,k", [(1, 1), (5, 1), (5, 3), (5, 5), (8, 4)])
+    def test_matches_dense_gain(self, n, k, kind):
+        # differential check against the NK x NK solve of the full prior
+        for gamma_e_db in (-5.0, 5.0, 20.0):
+            params, chan, _, cfg = _rx_at_ce_snr(gamma_e_db, k, seed=22, n=n)
+            pilots = build_pilots(k, cfg.ce_time, params.tx_power, kind=kind)
+            rx = backscatter(chan, pilots, params.tag_amp_ce, params.noise_var,
+                             (22, 2))
+            gain = lmmse_gain(rx.pilot_scaled, prior_covariance(params.beta, n, k),
+                              params.noise_var)
+            dense = (gain @ rx.y.ravel(order="F")).reshape((n, k), order="F")
+            est = lmmse_matrix(ls_matrix(rx, cfg), params.beta,
+                               _pilot_energy(rx.pilot_scaled), params.noise_var)
+            assert np.linalg.norm(est.h_hat_matrix - dense) \
+                <= 1e-10 * np.linalg.norm(dense), gamma_e_db
 
     def test_vanishing_noise_collapses_to_ls(self):
         n, k = 4, 3
@@ -162,17 +183,17 @@ class TestLmmseMatrix:
         chan = draw_channel(params, 31, pilot_count=k)
         pilots = build_pilots(k, cfg.ce_time, params.tx_power)
         rx = backscatter(chan, pilots, params.tag_amp_ce, tiny, 32)
-        prior = prior_covariance(params.beta, n, k)
-        mm = lmmse_matrix(rx, cfg, prior, tiny).h_hat_matrix
-        ls = ls_matrix(rx, cfg).h_hat_matrix
-        assert np.linalg.norm(mm - ls) <= 1e-6 * np.linalg.norm(ls)
+        ls = ls_matrix(rx, cfg)
+        mm = lmmse_matrix(ls, params.beta, cfg.pilot_energy(params), tiny).h_hat_matrix
+        assert np.linalg.norm(mm - ls.h_hat_matrix) \
+            <= 1e-6 * np.linalg.norm(ls.h_hat_matrix)
 
     def test_zero_prior_zeroes_estimate(self):
         params, chan, rx, cfg = _rx_at_ce_snr(10.0, 2, seed=33, n=4)
-        prior = prior_covariance(1e-12 * params.beta, 4, 2)
-        mm = lmmse_matrix(rx, cfg, prior, params.noise_var).h_hat_matrix
-        ls = ls_matrix(rx, cfg).h_hat_matrix
-        assert np.linalg.norm(mm) <= 1e-6 * np.linalg.norm(ls)
+        ls = ls_matrix(rx, cfg)
+        mm = lmmse_matrix(ls, 1e-12 * params.beta, cfg.pilot_energy(params),
+                          params.noise_var).h_hat_matrix
+        assert np.linalg.norm(mm) <= 1e-6 * np.linalg.norm(ls.h_hat_matrix)
 
     def test_paired_mse_beats_ls_at_unity_ce_snr(self):
         params = params_at_ce_snr_db(0.0, n_antennas=6)
@@ -189,9 +210,20 @@ class TestLmmseMatrix:
 
     def test_rejects_nonpositive_noise(self):
         params, chan, rx, cfg = _rx_at_ce_snr(0.0, 2, seed=51, n=3)
-        prior = prior_covariance(params.beta, 3, 2)
         with pytest.raises(ValueError):
-            lmmse_matrix(rx, cfg, prior, 0.0)
+            lmmse_matrix(ls_matrix(rx, cfg), params.beta,
+                         cfg.pilot_energy(params), 0.0)
+
+    def test_rejects_nonpositive_beta_and_non_ls_input(self):
+        params, chan, rx, cfg = _rx_at_ce_snr(0.0, 2, seed=52, n=3)
+        ls = ls_matrix(rx, cfg)
+        e0 = cfg.pilot_energy(params)
+        for beta in (0.0, -params.beta):
+            with pytest.raises(ValueError, match="beta"):
+                lmmse_matrix(ls, beta, e0, params.noise_var)
+        mm = lmmse_matrix(ls, params.beta, e0, params.noise_var)
+        with pytest.raises(ValueError, match="LS estimate"):
+            lmmse_matrix(mm, params.beta, e0, params.noise_var)
 
 
 class TestVectorEstimate:
@@ -236,6 +268,29 @@ class TestVectorEstimate:
                     scale = np.linalg.norm(est.h_hat_matrix) ** 2
                     assert v.objective <= oracle + 1e-6 * scale, (n, k, trial)
 
+    def test_reaches_brute_force_basin_at_n12_k6(self):
+        # mid-K at a size where more than four candidates compete, so only the
+        # principal pair and the two best unrefined fits are refined; the
+        # LMMSE input has a symmetric head, unlike any LS draw
+        n, k = 12, 6
+        cfg = PilotConfig(k, 1e-4)
+        for gamma_e_db in (-5.0, 5.0):
+            params = params_at_ce_snr_db(gamma_e_db, n_antennas=n)
+            pilots = build_pilots(k, cfg.ce_time, params.tx_power)
+            for t in range(4):
+                chan = draw_channel(params, (1206, t, 0), pilot_count=k)
+                rx = backscatter(chan, pilots, params.tag_amp_ce,
+                                 params.noise_var, (1206, t, 1))
+                ls = ls_matrix(rx, cfg)
+                mm = lmmse_matrix(ls, params.beta, _pilot_energy(rx.pilot_scaled),
+                                  params.noise_var)
+                for est in (ls, mm):
+                    scale = np.linalg.norm(est.h_hat_matrix) ** 2
+                    oracle = brute_force_min(est.h_hat_matrix / np.sqrt(scale),
+                                             n_starts=20, seed=t)
+                    got = vector_estimate(est).objective / scale
+                    assert got <= oracle + 1e-9, (gamma_e_db, t, est.flavor)
+
     def test_stationary_point(self):
         # central-difference gradient of the fitting error vanishes at h_hat
         rng = np.random.default_rng(65)
@@ -257,7 +312,8 @@ class TestVectorEstimate:
         for _ in range(25):
             m = (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1)))
             head_fast, lam_fast = _head_single_pilot(m)
-            head_gen, lam_gen = _head_from_reduction(m, 1)
+            lam_gen, v = _reduction_candidates(m, 1)[0]
+            head_gen = _candidate(m, lam_gen, v)[:1]
             assert lam_fast == pytest.approx(lam_gen, rel=1e-9)
             err = min(np.linalg.norm(head_fast - head_gen),
                       np.linalg.norm(head_fast + head_gen))

@@ -1,9 +1,11 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bsc_estim import cli
 from bsc_estim.experiments import (
     DEFAULTS,
     STUDIES,
@@ -14,6 +16,8 @@ from bsc_estim.experiments import (
     run_experiment,
     write_csv,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def _write(tmp_path, text, name="exp.cfg"):
@@ -113,6 +117,13 @@ class TestWriteCsv:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv([], str(tmp_path / "out.csv"))
+
+    def test_replaces_existing_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("stale\n", encoding="utf-8")
+        write_csv([ResultRow(1.0, "snr", 2.0, 0.0, 1)], str(path))
+        assert path.read_text(encoding="utf-8").startswith("sweep_value,")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestStudiesRegistry:
@@ -231,6 +242,19 @@ class TestRunExperiment:
         assert rows_a == rows_b
 
 
+class TestGoldenCsv:
+    # Frozen CSV bytes; a change that moves them on purpose re-records the
+    # fixture and says why.  k_sweep_n8 covers K = 1, mid-K refinement and
+    # K = N for both estimators.
+    @pytest.mark.parametrize("name", ["c11_snr_sweep", "k_sweep_n8"])
+    def test_cli_reproduces_fixture(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        rc = cli.main(["run", "--config", str(DATA / f"{name}.cfg"),
+                       "--out", str(out), "--workers", "1"])
+        assert rc == 0
+        assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run([sys.executable, "-m", "bsc_estim.cli", *args],
@@ -271,6 +295,39 @@ class TestCli:
                         "--workers", "1")
         assert res.returncode == 2
         assert "runtime error" in res.stderr
+
+    def test_failed_run_leaves_nothing_at_output_path(self, tmp_path, monkeypatch):
+        def failing(cfg):
+            yield ResultRow(0.0, "p_r_ls", 1.0, 0.0, 5)
+            raise RuntimeError("injected failure after one row")
+
+        monkeypatch.setattr("bsc_estim.experiments.iter_experiment", failing)
+        out = tmp_path / "rows.csv"
+        rc = cli.main(["run", "--config", _write(tmp_path, ""), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        partial = tmp_path / "rows.csv.partial"
+        assert len(partial.read_text(encoding="utf-8").splitlines()) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "exp.cfg", "rows.csv.partial"]
+
+    @pytest.mark.parametrize("line", [
+        "noise_var = nan", "distance = inf", "beta = inf", "ce_time = nan",
+        # the derived path-loss gain overflows or underflows to zero
+        "distance = 1e300", "carrier_freq = 1e200",
+    ])
+    def test_non_finite_input_fails_at_load(self, tmp_path, line):
+        res = self._run("optimize", "--config", _write(tmp_path, line + "\n"))
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert "config error" in res.stderr
+
+    def test_non_finite_sweep_grid_fails_at_load(self, tmp_path):
+        cfg = _write(tmp_path, "n_antennas = 2\ntrials = 3\nsweep_grid = 0, nan\n")
+        out = tmp_path / "rows.csv"
+        res = self._run("run", "--config", cfg, "--out", str(out), "--workers", "1")
+        assert res.returncode == 1, res.stderr
+        assert "config error" in res.stderr
+        assert not out.exists()
 
     def test_optimize_prints_outcome_block(self, tmp_path):
         import json

@@ -22,6 +22,7 @@ from bsc_estim import (
     snr_perfect_csi,
     vector_estimate,
 )
+from bsc_estim.snr import matrix_mse_paired
 from conftest import make_params, params_at_ce_snr_db, random_channel_vector
 from _oracles import corner_received_power
 
@@ -247,6 +248,16 @@ class TestMonteCarlo:
         serial = mc_effective_snr(p, cfg, LS, trials=40, seed=10, workers=1)
         parallel = mc_effective_snr(p, cfg, LS, trials=40, seed=10, workers=3)
         assert serial == parallel
+
+    def test_lmmse_at_n_equals_k_128(self):
+        # the NK x NK dense filter would take 4.3 GB here; the shrink is O(NK)
+        p = params_at_ce_snr_db(0.0, n_antennas=128)
+        cfg = PilotConfig(128, 1e-4)
+        ls_mse, mm_mse = matrix_mse_paired(p, cfg, trials=20, seed=128)
+        assert np.isfinite([ls_mse.value, mm_mse.value]).all()
+        assert mm_mse.value <= ls_mse.value
+        rep = mc_effective_snr(p, cfg, LMMSE, trials=10, seed=128)
+        assert np.isfinite(rep.value_linear) and rep.value_linear > 0
 
     def test_lmmse_flavor_runs(self):
         p = params_at_ce_snr_db(0.0, n_antennas=4)
