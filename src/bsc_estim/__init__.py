@@ -32,14 +32,11 @@ from .optimizer import (
     snr_threshold,
 )
 from .snr import (
+    McEstimate,
     RicianMoments,
-    SnrReport,
     approx_moments,
     ce_snr,
-    effective_snr_sample,
-    estimate_mse,
-    mc_effective_snr,
-    received_power_metrics,
+    mc_metrics,
     snr_approx,
     snr_isotropic,
     snr_perfect_csi,
@@ -53,12 +50,12 @@ __all__ = [
     "LMMSE",
     "LS",
     "MatrixEstimate",
+    "McEstimate",
     "OptimizationOutcome",
     "PilotConfig",
     "RealifiedSystem",
     "ReceivedSignal",
     "RicianMoments",
-    "SnrReport",
     "SystemParams",
     "VectorEstimate",
     "approx_moments",
@@ -68,12 +65,10 @@ __all__ = [
     "ce_snr",
     "decide",
     "draw_channel",
-    "effective_snr_sample",
-    "estimate_mse",
     "joint_optimize",
     "lmmse_matrix",
     "ls_matrix",
-    "mc_effective_snr",
+    "mc_metrics",
     "mrc_combiner",
     "mrt_precoder",
     "optimal_pc",
@@ -81,7 +76,6 @@ __all__ = [
     "path_loss_beta",
     "phi",
     "quantize_ce_time",
-    "received_power_metrics",
     "snr_approx",
     "snr_isotropic",
     "snr_perfect_csi",

@@ -173,27 +173,17 @@ def draw_channel(params: SystemParams, seed, pilot_count: int | None = None) -> 
     return ChannelRealization(h=h, pilot_count=k)
 
 
-def build_pilots(pilot_count: int, tau_c: float, tx_power: float,
-                 kind: str = "identity") -> np.ndarray:
+def build_pilots(pilot_count: int, tau_c: float, tx_power: float) -> np.ndarray:
     """Orthogonal pilot matrix S with S @ S^H = (tx_power / K) * tau_c * I.
 
-    Each row is one antenna's pilot, collapsed to K symbols.  ``identity``
-    pilots keep the product exact in floating point; ``dft`` spreads energy
-    across all symbols and is orthogonal up to round-off.
+    Each row is one antenna's pilot, collapsed to K symbols.  The pilots are
+    a scaled identity, which keeps the product exact in floating point.
     """
     if pilot_count < 1:
         raise ValueError(f"pilot_count must be >= 1, got {pilot_count}")
     if tau_c <= 0 or tx_power <= 0:
         raise ValueError("tau_c and tx_power must be positive")
-    k = pilot_count
-    amp = np.sqrt(tx_power * tau_c / k)
-    if kind == "identity":
-        return amp * np.eye(k, dtype=complex)
-    if kind == "dft":
-        grid = np.arange(k)
-        dft = np.exp(-2j * np.pi * np.outer(grid, grid) / k) / np.sqrt(k)
-        return amp * dft
-    raise ValueError(f"unknown pilot kind {kind!r}")
+    return np.sqrt(tx_power * tau_c / pilot_count) * np.eye(pilot_count, dtype=complex)
 
 
 def backscatter(chan: ChannelRealization, pilots: np.ndarray, tag_amp_ce: float,

@@ -138,12 +138,12 @@ def _selftest_checks():
 
     yield "pilot-count threshold at N=20", abs(snr_threshold(20) - 361.0 / 168.0) < 1e-12
 
-    ratio = snr_isotropic(params).value_linear / snr_perfect_csi(params).value_linear
+    ratio = snr_isotropic(params) / snr_perfect_csi(params)
     yield "isotropic normalization", abs(ratio - 2.0 / 420.0) < 1e-15
 
     tau_opt = optimal_ta(20, params)
     grid = np.linspace(1e-9, params.coherence_time * (1 - 1e-9), 2001)
-    vals = [snr_approx(t, 20, params).value_linear for t in grid]
+    vals = [snr_approx(t, 20, params) for t in grid]
     best = grid[int(np.argmax(vals))]
     yield "optimal time allocation vs grid", abs(tau_opt - best) <= grid[1] - grid[0]
 

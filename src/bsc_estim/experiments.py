@@ -6,20 +6,23 @@ transmit power at 915 MHz over 100 m, 1e-20 J noise).  Every run is fully
 determined by (config, seed): trials are sub-seeded by index and reductions
 are order-exact, so identical runs produce byte-identical CSV files.
 
-Sweep kinds and the studies they feed:
+Sweep kinds, what their grids hold, and the rows they write:
 
   SNR_SWEEP  grid = training-phase SNR in dB (noise level derived per point);
              received power with benchmarks, vector MSE, Monte Carlo vs
              closed-form decoding SNR.
-  TAU_SWEEP  grid = training times in seconds; decoding SNR across the
+  TAU_SWEEP  grid = training times in seconds, > 0; decoding SNR across the
              time split plus the analytic optimal-time marker.
-  K_SWEEP    grid = pilot counts; received power normalized to one pilot
-             and decoding SNR per count.
-  N_SWEEP    grid = antenna counts; jointly optimal design and the fixed /
-             optimal-time / joint scheme SNRs.
-  JOINT      grid = ranges in meters; the joint design versus distance.
-  COMPARE    grid = ranges in meters; all scheme SNRs plus normalizations
-             against the perfect-knowledge benchmark.
+  K_SWEEP    grid = pilot counts, integers in [1, N]; received power
+             normalized to one pilot and decoding SNR per count.
+  N_SWEEP    grid = antenna counts, integers >= 1; jointly optimal design and
+             the fixed / optimal-time / joint scheme SNRs.
+  JOINT      grid = ranges in meters, > 0; the joint design versus distance.
+  COMPARE    grid = ranges in meters, > 0; all scheme SNRs plus
+             normalizations against the perfect-knowledge benchmark.
+
+Monte Carlo sweeps call :func:`~bsc_estim.snr.mc_metrics` once per sweep
+point for every flavor, so LS and LMMSE rows come from the same trials.
 """
 
 from __future__ import annotations
@@ -33,18 +36,7 @@ import numpy as np
 from .channel import PilotConfig, SystemParams, quantize_ce_time
 from .estimators import LMMSE, LS
 from .optimizer import joint_optimize, optimal_ta
-from .snr import (
-    _BEAM2,
-    _BEAM4,
-    _MSE_VEC,
-    _mc_samples,
-    _mean_stderr,
-    mc_effective_snr,
-    received_power_metrics,
-    snr_approx,
-    snr_isotropic,
-    snr_perfect_csi,
-)
+from .snr import mc_metrics, snr_approx, snr_isotropic, snr_perfect_csi
 
 SWEEP_KINDS = ("SNR_SWEEP", "TAU_SWEEP", "K_SWEEP", "N_SWEEP", "JOINT", "COMPARE")
 ESTIMATORS = (LS, LMMSE, "BOTH")
@@ -80,24 +72,6 @@ DEFAULT_GRIDS = {
     "JOINT": [60.0, 80.0, 100.0, 120.0, 150.0, 180.0],
     "COMPARE": [60.0, 80.0, 100.0, 120.0, 150.0, 180.0],
 }
-
-# Each bundled study is produced by exactly one sweep kind.
-STUDIES = {
-    "received_power_full_pilots": "SNR_SWEEP",
-    "received_power_single_pilot": "SNR_SWEEP",
-    "vector_mse_vs_snr": "SNR_SWEEP",
-    "snr_closed_form_vs_mc": "SNR_SWEEP",
-    "snr_closed_form_vs_mc_per_count": "SNR_SWEEP",
-    "snr_vs_ce_time_ls": "TAU_SWEEP",
-    "snr_vs_ce_time_lmmse": "TAU_SWEEP",
-    "received_power_vs_pilot_count": "K_SWEEP",
-    "snr_vs_pilot_count": "K_SWEEP",
-    "joint_design_vs_antennas": "N_SWEEP",
-    "snr_schemes_vs_antennas": "N_SWEEP",
-    "snr_schemes_vs_range": "COMPARE",
-    "snr_schemes_normalized": "COMPARE",
-}
-
 
 class ConfigError(ValueError):
     """Raised when a config file cannot be parsed or violates an invariant."""
@@ -229,6 +203,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("sweep_grid values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep_grid must be strictly increasing")
+    _check_grid(sweep, grid, params.n_antennas)
 
     trials = merged["trials"]
     if trials < 1:
@@ -249,6 +224,23 @@ def load_config(path: str) -> ExperimentConfig:
         workers=workers,
         has_prior_stats=merged["has_prior_stats"],
     )
+
+
+def _check_grid(sweep: str, grid: list[float], n_antennas: int) -> None:
+    """Reject grid values the sweep kind cannot run, before any point runs."""
+    if sweep == "K_SWEEP":
+        bad = [v for v in grid if not (v.is_integer() and 1 <= v <= n_antennas)]
+        want = f"integer pilot counts in [1, n_antennas={n_antennas}]"
+    elif sweep == "N_SWEEP":
+        bad = [v for v in grid if not (v.is_integer() and v >= 1)]
+        want = "integer antenna counts >= 1"
+    elif sweep in ("TAU_SWEEP", "JOINT", "COMPARE"):
+        bad = [v for v in grid if v <= 0]
+        want = "positive"
+    else:
+        return
+    if bad:
+        raise ConfigError(f"{sweep} sweep_grid values must be {want}, got {bad}")
 
 
 def _flavors(cfg: ExperimentConfig) -> tuple[str, ...]:
@@ -288,107 +280,93 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def _run_snr_sweep(cfg: ExperimentConfig):
+    flavors = _flavors(cfg)
     for ge_db in cfg.sweep_grid:
         params = _params_for_ce_snr_db(cfg, ge_db)
-        for flavor in _flavors(cfg):
+        # one kernel pass per point: every flavor and metric shares the
+        # same seeded trials
+        est = mc_metrics(params, cfg.pilot, flavors, cfg.trials, cfg.seed,
+                         ("p_r", "mse_vec", "snr"), cfg.workers)
+        for flavor in flavors:
             tag = flavor.lower()
-            # one kernel pass per flavor: power, vector MSE and decoding SNR
-            # share the same seeded trials
-            samples = _mc_samples(params, cfg.pilot, flavor, cfg.trials,
-                                  cfg.seed, (_BEAM2, _BEAM4, _MSE_VEC),
-                                  cfg.workers)
-            p_mean, p_se = _mean_stderr(samples[_BEAM2])
-            yield ResultRow(ge_db, f"p_r_{tag}", params.tx_power * p_mean,
-                            params.tx_power * p_se, cfg.trials)
-            m_mean, m_se = _mean_stderr(samples[_MSE_VEC])
-            yield ResultRow(ge_db, f"mse_{tag}", m_mean, m_se, cfg.trials)
-            snr_scale = ((params.coherence_time - cfg.pilot.ce_time)
-                         * params.tx_power * params.tag_amp_id ** 2
-                         / params.noise_var)
-            s_mean, s_se = _mean_stderr(samples[_BEAM4])
-            yield ResultRow(ge_db, f"snr_mc_{tag}", snr_scale * s_mean,
-                            snr_scale * s_se, cfg.trials)
+            for metric, name in (("p_r", "p_r"), ("mse_vec", "mse"), ("snr", "snr_mc")):
+                e = est[flavor, metric]
+                yield ResultRow(ge_db, f"{name}_{tag}", e.value, e.std_error, e.trials)
         yield ResultRow(ge_db, "p_r_perfect",
                         params.n_antennas * params.tx_power * params.beta, 0.0, 0)
         yield ResultRow(ge_db, "p_r_isotropic", params.tx_power * params.beta, 0.0, 0)
         yield ResultRow(ge_db, "snr_approx",
-                        snr_approx(cfg.pilot.ce_time, cfg.pilot.pilot_count,
-                                   params).value_linear, 0.0, 0)
-        yield ResultRow(ge_db, "snr_perfect",
-                        snr_perfect_csi(params).value_linear, 0.0, 0)
-        yield ResultRow(ge_db, "snr_isotropic",
-                        snr_isotropic(params).value_linear, 0.0, 0)
+                        snr_approx(cfg.pilot.ce_time, cfg.pilot.pilot_count, params),
+                        0.0, 0)
+        yield ResultRow(ge_db, "snr_perfect", snr_perfect_csi(params), 0.0, 0)
+        yield ResultRow(ge_db, "snr_isotropic", snr_isotropic(params), 0.0, 0)
 
 
 def _run_tau_sweep(cfg: ExperimentConfig):
+    flavors = _flavors(cfg)
     for tau_c in cfg.sweep_grid:
         if tau_c >= cfg.params.coherence_time:
             # Training eats the whole block: nothing left to decode.
-            for flavor in _flavors(cfg):
+            for flavor in flavors:
                 yield ResultRow(tau_c, f"snr_mc_{flavor.lower()}", 0.0, 0.0, 0)
             yield ResultRow(tau_c, "snr_approx", 0.0, 0.0, 0)
             continue
         pilot = PilotConfig(pilot_count=cfg.pilot.pilot_count, ce_time=tau_c)
         pilot.validate_against(cfg.params)
-        for flavor in _flavors(cfg):
-            snr = mc_effective_snr(cfg.params, pilot, flavor, cfg.trials,
-                                   cfg.seed, cfg.workers)
-            yield ResultRow(tau_c, f"snr_mc_{flavor.lower()}", snr.value_linear,
-                            snr.std_error, cfg.trials)
+        est = mc_metrics(cfg.params, pilot, flavors, cfg.trials, cfg.seed,
+                         ("snr",), cfg.workers)
+        for flavor in flavors:
+            e = est[flavor, "snr"]
+            yield ResultRow(tau_c, f"snr_mc_{flavor.lower()}", e.value,
+                            e.std_error, e.trials)
         yield ResultRow(tau_c, "snr_approx",
-                        snr_approx(tau_c, cfg.pilot.pilot_count,
-                                   cfg.params).value_linear, 0.0, 0)
+                        snr_approx(tau_c, cfg.pilot.pilot_count, cfg.params), 0.0, 0)
     tau_opt = optimal_ta(cfg.pilot.pilot_count, cfg.params)
     yield ResultRow(tau_opt, "tau_c_opt", tau_opt, 0.0, 0)
     yield ResultRow(tau_opt, "snr_approx_at_tau_opt",
-                    snr_approx(tau_opt, cfg.pilot.pilot_count,
-                               cfg.params).value_linear, 0.0, 0)
+                    snr_approx(tau_opt, cfg.pilot.pilot_count, cfg.params), 0.0, 0)
 
 
 def _run_k_sweep(cfg: ExperimentConfig):
+    flavors = _flavors(cfg)
     baseline: dict[str, float] = {}
     for k_val in cfg.sweep_grid:
-        k = int(round(k_val))
+        k = int(k_val)
         pilot = PilotConfig(pilot_count=k, ce_time=cfg.pilot.ce_time)
         pilot.validate_against(cfg.params)
-        for flavor in _flavors(cfg):
+        # p_r and snr in two passes: perfbench/run.py expects two per K_SWEEP trial
+        power = mc_metrics(cfg.params, pilot, flavors, cfg.trials, cfg.seed,
+                           ("p_r",), cfg.workers)
+        snr = mc_metrics(cfg.params, pilot, flavors, cfg.trials, cfg.seed,
+                         ("snr",), cfg.workers)
+        for flavor in flavors:
             tag = flavor.lower()
-            power = received_power_metrics(flavor, cfg.params, pilot,
-                                           cfg.trials, cfg.seed, cfg.workers)
-            baseline.setdefault(tag, power.p_r)
-            yield ResultRow(k, f"p_r_{tag}", power.p_r, power.std_error, cfg.trials)
-            yield ResultRow(k, f"p_r_norm_{tag}", power.p_r / baseline[tag],
-                            power.std_error / baseline[tag], cfg.trials)
-            snr = mc_effective_snr(cfg.params, pilot, flavor, cfg.trials,
-                                   cfg.seed, cfg.workers)
-            yield ResultRow(k, f"snr_mc_{tag}", snr.value_linear,
-                            snr.std_error, cfg.trials)
-        yield ResultRow(k, "snr_approx",
-                        snr_approx(pilot.ce_time, k, cfg.params).value_linear,
-                        0.0, 0)
+            p_r, s = power[flavor, "p_r"], snr[flavor, "snr"]
+            baseline.setdefault(tag, p_r.value)
+            yield ResultRow(k, f"p_r_{tag}", p_r.value, p_r.std_error, p_r.trials)
+            yield ResultRow(k, f"p_r_norm_{tag}", p_r.value / baseline[tag],
+                            p_r.std_error / baseline[tag], p_r.trials)
+            yield ResultRow(k, f"snr_mc_{tag}", s.value, s.std_error, s.trials)
+        yield ResultRow(k, "snr_approx", snr_approx(pilot.ce_time, k, cfg.params), 0.0, 0)
 
 
 def _scheme_rows(sweep_value: float, params: SystemParams, tau_c0: float):
     """Closed-form SNRs of the benchmark schemes at one parameter point."""
     n = params.n_antennas
-    yield ResultRow(sweep_value, "snr_isotropic",
-                    snr_isotropic(params).value_linear, 0.0, 0)
-    yield ResultRow(sweep_value, "snr_fixed",
-                    snr_approx(tau_c0, n, params).value_linear, 0.0, 0)
+    yield ResultRow(sweep_value, "snr_isotropic", snr_isotropic(params), 0.0, 0)
+    yield ResultRow(sweep_value, "snr_fixed", snr_approx(tau_c0, n, params), 0.0, 0)
     tau_n = optimal_ta(n, params)
-    yield ResultRow(sweep_value, "snr_opt_ta",
-                    snr_approx(tau_n, n, params).value_linear, 0.0, 0)
+    yield ResultRow(sweep_value, "snr_opt_ta", snr_approx(tau_n, n, params), 0.0, 0)
     outcome = joint_optimize(params)
     yield ResultRow(sweep_value, "snr_joint", outcome.predicted_snr, 0.0, 0)
     yield ResultRow(sweep_value, "tau_c_joint", outcome.tau_c_opt, 0.0, 0)
     yield ResultRow(sweep_value, "k_joint", float(outcome.k_opt), 0.0, 0)
-    yield ResultRow(sweep_value, "snr_perfect",
-                    snr_perfect_csi(params).value_linear, 0.0, 0)
+    yield ResultRow(sweep_value, "snr_perfect", snr_perfect_csi(params), 0.0, 0)
 
 
 def _run_n_sweep(cfg: ExperimentConfig):
     for n_val in cfg.sweep_grid:
-        n = int(round(n_val))
+        n = int(n_val)
         params = replace(cfg.params, n_antennas=n)
         yield from _scheme_rows(n, params, cfg.pilot.ce_time)
 
@@ -407,7 +385,7 @@ def _run_compare(cfg: ExperimentConfig):
         params = replace(cfg.params, distance=d, beta=None)
         rows = list(_scheme_rows(d, params, cfg.pilot.ce_time))
         yield from rows
-        perfect = snr_perfect_csi(params).value_linear
+        perfect = snr_perfect_csi(params)
         for row in rows:
             if row.metric_name.startswith("snr_"):
                 yield ResultRow(d, f"norm_{row.metric_name[4:]}",

@@ -117,7 +117,7 @@ def joint_optimize(params: SystemParams) -> OptimizationOutcome:
             k_opt, tau_c_opt = 1, tau_c1
         else:
             k_opt, tau_c_opt = n, optimal_ta(n, params)
-    predicted = snr_approx(tau_c_opt, k_opt, params).value_linear
+    predicted = snr_approx(tau_c_opt, k_opt, params)
     return OptimizationOutcome(
         tau_c_opt=tau_c_opt,
         k_opt=k_opt,

@@ -2,10 +2,12 @@
 
 Closed forms: the decoding-phase SNR under perfect channel knowledge, under
 isotropic (no-estimate) transmission, and the Rician-moment approximation of
-the SNR achieved with the estimated beamformers.  Monte Carlo counterparts
-run the full pilot -> estimate -> beamform chain over seeded fading draws.
+the SNR achieved with the estimated beamformers.  :func:`mc_metrics` is the
+Monte Carlo counterpart: it runs the full pilot -> estimate -> beamform chain
+over seeded fading draws, once per trial for every requested estimator
+flavor and metric.
 
-Every Monte Carlo routine is deterministic given its seed: trial t derives
+Every Monte Carlo result is deterministic given its seed: trial t derives
 its channel and noise streams from the seed tuples (seed, t, 0) and
 (seed, t, 1), and reductions use exact compensated summation, so results do
 not depend on chunking or worker count.
@@ -23,31 +25,11 @@ from .channel import PilotConfig, SystemParams, backscatter, build_pilots, draw_
 from .estimators import (
     LMMSE,
     LS,
-    MatrixEstimate,
     _pilot_energy,
     lmmse_matrix,
     ls_matrix,
     vector_estimate,
 )
-
-
-def _to_db(value: float) -> float:
-    return 10.0 * math.log10(value) if value > 0 else -math.inf
-
-
-@dataclass(frozen=True)
-class SnrReport:
-    """A dimensionless SNR with its dB form and Monte Carlo uncertainty."""
-
-    value_linear: float
-    value_db: float
-    trials: int = 0
-    std_error: float = 0.0
-
-
-def _report(value: float, trials: int = 0, std_error: float = 0.0) -> SnrReport:
-    return SnrReport(value_linear=value, value_db=_to_db(value),
-                     trials=trials, std_error=std_error)
 
 
 @dataclass(frozen=True)
@@ -60,34 +42,12 @@ class RicianMoments:
 
 
 @dataclass(frozen=True)
-class ReceivedPowerReport:
-    """Monte Carlo received power at the tag plus its analytic benchmarks."""
-
-    p_r: float                   # watts, measured with the estimated beam
-    p_r_perfect: float           # N * p_t * beta
-    p_r_isotropic: float         # p_t * beta
-    std_error: float
-    trials: int
-
-
-@dataclass(frozen=True)
 class McEstimate:
+    """A Monte Carlo mean with its standard error over ``trials`` draws."""
+
     value: float
     std_error: float
     trials: int
-
-
-def effective_snr_sample(h_hat: np.ndarray, h: np.ndarray, params: SystemParams,
-                         tau_c: float) -> float:
-    """One-draw decoding SNR ((tau - tau_c) p_t a_id^2 / N0) |h_hat^H h|^4 / ||h_hat||^4."""
-    if tau_c >= params.coherence_time:
-        return 0.0
-    norm = np.linalg.norm(h_hat)
-    if norm == 0:
-        raise ValueError("h_hat must be nonzero; degenerate draws score 0 upstream")
-    gain = abs(np.vdot(h_hat, h)) / norm
-    return ((params.coherence_time - tau_c) * params.tx_power
-            * params.tag_amp_id ** 2 / params.noise_var) * gain ** 4
 
 
 def ce_snr(cfg: PilotConfig, params: SystemParams) -> float:
@@ -100,22 +60,20 @@ def ce_snr(cfg: PilotConfig, params: SystemParams) -> float:
             * params.tx_power * cfg.ce_time / params.noise_var)
 
 
-def snr_perfect_csi(params: SystemParams) -> SnrReport:
+def snr_perfect_csi(params: SystemParams) -> float:
     """Decoding SNR with a genie channel: tau p_t a_id^2 N(N+1) beta^2 / N0."""
     n = params.n_antennas
-    value = (params.coherence_time * params.tx_power * params.tag_amp_id ** 2
-             * n * (n + 1) * params.beta ** 2 / params.noise_var)
-    return _report(value)
+    return (params.coherence_time * params.tx_power * params.tag_amp_id ** 2
+            * n * (n + 1) * params.beta ** 2 / params.noise_var)
 
 
-def snr_isotropic(params: SystemParams) -> SnrReport:
+def snr_isotropic(params: SystemParams) -> float:
     """Decoding SNR of blind equal-weight transmission: 2 tau p_t a_id^2 beta^2 / N0."""
-    value = (2.0 * params.coherence_time * params.tx_power
-             * params.tag_amp_id ** 2 * params.beta ** 2 / params.noise_var)
-    return _report(value)
+    return (2.0 * params.coherence_time * params.tx_power
+            * params.tag_amp_id ** 2 * params.beta ** 2 / params.noise_var)
 
 
-def snr_approx(tau_c: float, pilot_count: int, params: SystemParams) -> SnrReport:
+def snr_approx(tau_c: float, pilot_count: int, params: SystemParams) -> float:
     """Closed-form approximation of the decoding SNR after estimated beamforming.
 
     With rho = 1 + N0 K / (beta^2 a0^2 p_t tau_c):
@@ -135,9 +93,8 @@ def snr_approx(tau_c: float, pilot_count: int, params: SystemParams) -> SnrRepor
                  / (params.beta ** 2 * params.tag_amp_ce ** 2
                     * params.tx_power * tau_c))
     shape = ((n - 1) * (n - 2) / rho + 4.0 * (n - 1) / math.sqrt(rho) + 2.0)
-    value = ((params.coherence_time - tau_c) * params.tx_power
-             * params.tag_amp_id ** 2 * params.beta ** 2 / params.noise_var) * shape
-    return _report(value)
+    return ((params.coherence_time - tau_c) * params.tx_power
+            * params.tag_amp_id ** 2 * params.beta ** 2 / params.noise_var) * shape
 
 
 def approx_moments(flavor: str, cfg: PilotConfig, params: SystemParams,
@@ -164,73 +121,80 @@ def approx_moments(flavor: str, cfg: PilotConfig, params: SystemParams,
 # ---------------------------------------------------------------------------
 # Monte Carlo kernel
 
-_BEAM2 = "beam2"        # |h_hat^H h|^2 / ||h_hat||^2
-_BEAM4 = "beam4"        # |h_hat^H h|^4 / ||h_hat||^4
-_MSE_VEC = "mse_vec"    # min(||h - h_hat||^2, ||h + h_hat||^2)
-_MSE_MAT_LS = "mse_mat_ls"
-_MSE_MAT_LMMSE = "mse_mat_lmmse"
+# Per-trial samples, before mc_metrics scales their mean and standard error:
+#   p_r      |h_hat^H h|^2 / ||h_hat||^2, times p_t
+#   snr      |h_hat^H h|^4 / ||h_hat||^4, times (tau - tau_c) p_t a_id^2 / N0
+#   mse_vec  min(||h - h_hat||^2, ||h + h_hat||^2), the sign-aligned vector error
+#   mse_mat  ||H_hat - h h_K^T||_F^2, the matrix estimation error
+METRICS = ("p_r", "snr", "mse_vec", "mse_mat")
 
 
-def _trial_chunk(args) -> dict[str, list[float]]:
-    (params, cfg, flavor, seed, t_lo, t_hi, metrics) = args
+def _trial_chunk(args) -> dict[tuple[str, str], list[float]]:
+    (params, cfg, flavors, seed, t_lo, t_hi, metrics) = args
     k = cfg.pilot_count
     pilots = build_pilots(k, cfg.ce_time, params.tx_power)
-    need_lmmse = flavor == LMMSE or _MSE_MAT_LMMSE in metrics
     # the E0 that ls_matrix divides by
     e0 = _pilot_energy(params.tag_amp_ce * pilots)
-    vector_metrics = [m for m in metrics if m in (_BEAM2, _BEAM4, _MSE_VEC)]
-    out: dict[str, list[float]] = {m: [] for m in metrics}
+    needs_vector = any(m != "mse_mat" for m in metrics)
+    out = {(f, m): [] for f in flavors for m in metrics}
     for t in range(t_lo, t_hi):
         chan = draw_channel(params, (seed, t, 0), pilot_count=k)
         rx = backscatter(chan, pilots, params.tag_amp_ce, params.noise_var,
                          (seed, t, 1))
         est_ls = ls_matrix(rx, cfg)
-        est_lmmse = (lmmse_matrix(est_ls, params.beta, e0, params.noise_var)
-                     if need_lmmse else None)
-        if _MSE_MAT_LS in metrics:
-            out[_MSE_MAT_LS].append(
-                float(np.linalg.norm(est_ls.h_hat_matrix - chan.cascaded) ** 2))
-        if _MSE_MAT_LMMSE in metrics:
-            out[_MSE_MAT_LMMSE].append(
-                float(np.linalg.norm(est_lmmse.h_hat_matrix - chan.cascaded) ** 2))
-        if not vector_metrics:
-            continue
-        vest = vector_estimate(est_lmmse if flavor == LMMSE else est_ls)
-        beam = 0.0
-        if not vest.degenerate:
-            beam = float(abs(np.vdot(vest.h_hat, chan.h)) / np.linalg.norm(vest.h_hat))
-        for m in vector_metrics:
-            if m == _BEAM2:
-                out[m].append(beam ** 2)
-            elif m == _BEAM4:
-                out[m].append(beam ** 4)
-            else:
-                out[m].append(float(min(np.linalg.norm(chan.h - vest.h_hat) ** 2,
-                                        np.linalg.norm(chan.h + vest.h_hat) ** 2)))
+        for flavor in flavors:
+            est = (est_ls if flavor == LS
+                   else lmmse_matrix(est_ls, params.beta, e0, params.noise_var))
+            if "mse_mat" in metrics:
+                out[flavor, "mse_mat"].append(
+                    float(np.linalg.norm(est.h_hat_matrix - chan.cascaded) ** 2))
+            if not needs_vector:
+                continue
+            vest = vector_estimate(est)
+            beam = 0.0
+            if not vest.degenerate:
+                beam = float(abs(np.vdot(vest.h_hat, chan.h))
+                             / np.linalg.norm(vest.h_hat))
+            if "p_r" in metrics:
+                out[flavor, "p_r"].append(beam ** 2)
+            if "snr" in metrics:
+                out[flavor, "snr"].append(beam ** 4)
+            if "mse_vec" in metrics:
+                out[flavor, "mse_vec"].append(float(min(
+                    np.linalg.norm(chan.h - vest.h_hat) ** 2,
+                    np.linalg.norm(chan.h + vest.h_hat) ** 2)))
     return out
 
 
-def _mc_samples(params: SystemParams, cfg: PilotConfig, flavor: str, trials: int,
-                seed: int, metrics: tuple[str, ...],
-                workers: int = 1) -> dict[str, list[float]]:
-    """Per-trial metric samples, identical for any worker count."""
+def _check_names(what: str, names: tuple[str, ...], allowed: tuple[str, ...]) -> None:
+    if not names or len(set(names)) < len(names) or not set(names) <= set(allowed):
+        raise ValueError(f"{what} must be distinct names from {allowed}, got {names!r}")
+
+
+def _mc_samples(params: SystemParams, cfg: PilotConfig, flavors: tuple[str, ...],
+                trials: int, seed: int, metrics: tuple[str, ...],
+                workers: int = 1) -> dict[tuple[str, str], list[float]]:
+    """Per-trial samples keyed by (flavor, metric), identical for any worker count.
+
+    Every flavor sees the same channel, noise and LS estimate of each trial.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if flavor not in (LS, LMMSE):
-        raise ValueError(f"unknown flavor {flavor!r}")
+    _check_names("flavors", flavors, (LS, LMMSE))
+    _check_names("metrics", metrics, METRICS)
     cfg.validate_against(params)
 
     if workers <= 1 or trials < 4 * workers:
-        return _trial_chunk((params, cfg, flavor, seed, 0, trials, metrics))
+        return _trial_chunk((params, cfg, flavors, seed, 0, trials, metrics))
 
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    jobs = [(params, cfg, flavor, seed, int(lo), int(hi), metrics)
+    jobs = [(params, cfg, flavors, seed, int(lo), int(hi), metrics)
             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    out: dict[str, list[float]] = {m: [] for m in metrics}
+    out: dict[tuple[str, str], list[float]] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for chunk in pool.map(_trial_chunk, jobs):
-            for m in metrics:
-                out[m].extend(chunk[m])
+            for key, samples in chunk.items():
+                out.setdefault(key, []).extend(samples)
     return out
 
 
@@ -244,52 +208,36 @@ def _mean_stderr(samples: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def mc_effective_snr(params: SystemParams, cfg: PilotConfig, flavor: str,
-                     trials: int, seed: int, workers: int = 1) -> SnrReport:
-    """Monte Carlo decoding SNR with the estimated beamformers.
+def mc_metrics(params: SystemParams, cfg: PilotConfig, flavors: tuple[str, ...],
+               trials: int, seed: int, metrics: tuple[str, ...],
+               workers: int = 1) -> dict[tuple[str, str], McEstimate]:
+    """Monte Carlo metrics of the estimated beam, keyed by (flavor, metric).
 
-    Fresh channel and noise every trial; degenerate estimates contribute a
-    literal zero beamforming gain rather than being dropped.
+    ``flavors`` names front ends from (LS, LMMSE) and ``metrics`` names
+    entries of :data:`METRICS`:
+
+    - ``p_r``: average power delivered to the tag, in watts;
+    - ``snr``: decoding SNR with the estimated beamformers;
+    - ``mse_vec``: sign-aligned vector MSE E min(||h - h_hat||^2,
+      ||h + h_hat||^2).  The global sign of the estimate is unidentifiable,
+      so alignment keeps the metric about estimation quality;
+    - ``mse_mat``: matrix MSE E ||H_hat - h h_K^T||_F^2.
+
+    Each trial draws its channel and noise once and every flavor shares
+    them, so flavors are compared on paired trials.  Degenerate vector
+    estimates contribute a literal zero beamforming gain rather than being
+    dropped.
     """
-    samples = _mc_samples(params, cfg, flavor, trials, seed, (_BEAM4,), workers)
-    scale = ((params.coherence_time - cfg.ce_time) * params.tx_power
-             * params.tag_amp_id ** 2 / params.noise_var)
-    mean, stderr = _mean_stderr(samples[_BEAM4])
-    return _report(scale * mean, trials=trials, std_error=scale * stderr)
-
-
-def received_power_metrics(flavor: str, params: SystemParams, cfg: PilotConfig,
-                           trials: int, seed: int, workers: int = 1) -> ReceivedPowerReport:
-    """Average power delivered to the tag by the estimated beam, with benchmarks."""
-    samples = _mc_samples(params, cfg, flavor, trials, seed, (_BEAM2,), workers)
-    mean, stderr = _mean_stderr(samples[_BEAM2])
-    return ReceivedPowerReport(
-        p_r=params.tx_power * mean,
-        p_r_perfect=params.n_antennas * params.tx_power * params.beta,
-        p_r_isotropic=params.tx_power * params.beta,
-        std_error=params.tx_power * stderr,
-        trials=trials,
-    )
-
-
-def estimate_mse(flavor: str, params: SystemParams, cfg: PilotConfig,
-                 trials: int, seed: int, workers: int = 1) -> McEstimate:
-    """Sign-aligned vector MSE: E min(||h - h_hat||^2, ||h + h_hat||^2).
-
-    The global sign of the estimate is unidentifiable, so the raw distance
-    would be dominated by the arbitrary sign; alignment keeps the metric
-    about estimation quality.
-    """
-    samples = _mc_samples(params, cfg, flavor, trials, seed, (_MSE_VEC,), workers)
-    mean, stderr = _mean_stderr(samples[_MSE_VEC])
-    return McEstimate(value=mean, std_error=stderr, trials=trials)
-
-
-def matrix_mse_paired(params: SystemParams, cfg: PilotConfig, trials: int,
-                      seed: int, workers: int = 1) -> tuple[McEstimate, McEstimate]:
-    """Paired-trial matrix estimation errors (LS, LMMSE) on shared randomness."""
-    samples = _mc_samples(params, cfg, LS, trials, seed,
-                          (_MSE_MAT_LS, _MSE_MAT_LMMSE), workers)
-    ls_mean, ls_se = _mean_stderr(samples[_MSE_MAT_LS])
-    mm_mean, mm_se = _mean_stderr(samples[_MSE_MAT_LMMSE])
-    return (McEstimate(ls_mean, ls_se, trials), McEstimate(mm_mean, mm_se, trials))
+    samples = _mc_samples(params, cfg, flavors, trials, seed, metrics, workers)
+    scale = {
+        "p_r": params.tx_power,
+        "snr": ((params.coherence_time - cfg.ce_time) * params.tx_power
+                * params.tag_amp_id ** 2 / params.noise_var),
+        "mse_vec": 1.0,
+        "mse_mat": 1.0,
+    }
+    out: dict[tuple[str, str], McEstimate] = {}
+    for key, values in samples.items():
+        mean, stderr = _mean_stderr(values)
+        out[key] = McEstimate(scale[key[1]] * mean, scale[key[1]] * stderr, trials)
+    return out

@@ -75,9 +75,3 @@ def build_realified(h_hat_matrix: np.ndarray, pilot_count: int) -> RealifiedSyst
     z_b = phi(tail.conj())
     return RealifiedSystem(z_a=z_a, z_b=z_b, pilot_count=k, n_antennas=n)
 
-
-def top_eigenpair(z_a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and unit eigenvector of a real symmetric matrix."""
-    w, v = np.linalg.eigh(z_a)
-    vec = v[:, -1]
-    return float(w[-1]), vec / np.linalg.norm(vec)

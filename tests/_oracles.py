@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles, not by
 calling the code under test: multi-start descent for the rank-one fitting
 problem, a spectral closed form for the linear MMSE filter under orthogonal
-pilots, the beams of the two pilot-count corners, and plain-grid maximizers.
+pilots, the beams of the two pilot-count corners, the one-draw decoding SNR,
+DFT pilots, and plain-grid maximizers.
 The one exception is :func:`refine_reference`, a frozen copy of the
 estimator's Newton refinement kept for bitwise regression checks.
 """
@@ -104,6 +105,31 @@ def corner_received_power(params, tau_c: float, pilot_count: int,
             beam = np.linalg.svd(0.5 * (h_ls + h_ls.T))[0][:, 0]
         gains[t] = abs(np.vdot(beam, h)) ** 2 / np.vdot(beam, beam).real
     return params.tx_power * float(np.mean(gains))
+
+
+def effective_snr_sample(h_hat: np.ndarray, h: np.ndarray, params,
+                         tau_c: float) -> float:
+    """One-draw decoding SNR ((tau - tau_c) p_t a_id^2 / N0) |h_hat^H h|^4 / ||h_hat||^4."""
+    if tau_c >= params.coherence_time:
+        return 0.0
+    norm = np.linalg.norm(h_hat)
+    if norm == 0:
+        raise ValueError("h_hat must be nonzero")
+    gain = abs(np.vdot(h_hat, h)) / norm
+    return ((params.coherence_time - tau_c) * params.tx_power
+            * params.tag_amp_id ** 2 / params.noise_var) * gain ** 4
+
+
+def dft_pilots(pilot_count: int, tau_c: float, tx_power: float) -> np.ndarray:
+    """Unitary-DFT pilots with S @ S^H = (tx_power / K) * tau_c * I up to round-off.
+
+    They spread each antenna's energy over all K symbols, unlike the
+    identity pilots the package builds.
+    """
+    k = pilot_count
+    grid = np.arange(k)
+    dft = np.exp(-2j * np.pi * np.outer(grid, grid) / k) / np.sqrt(k)
+    return np.sqrt(tx_power * tau_c / k) * dft
 
 
 def grid_argmax(fun, lo: float, hi: float, points: int) -> float:

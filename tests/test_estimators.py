@@ -24,10 +24,11 @@ from bsc_estim.estimators import (
     lmmse_gain,
     prior_covariance,
 )
-from bsc_estim.snr import matrix_mse_paired
+from bsc_estim.snr import mc_metrics
 from conftest import make_params, params_at_ce_snr_db, random_channel_vector
 from _oracles import (
     brute_force_min,
+    dft_pilots,
     lmmse_spectral,
     numerical_gradient,
     rank_one_objective,
@@ -146,7 +147,8 @@ class TestLmmseMatrix:
         # symmetric-head / antisymmetric-head / tail shrinkage factors
         for kind in ("identity", "dft"):
             params, chan, rx, cfg = _rx_at_ce_snr(5.0, 3, seed=21, n=5)
-            pilots = build_pilots(3, cfg.ce_time, params.tx_power, kind=kind)
+            pilots = (build_pilots if kind == "identity" else dft_pilots)(
+                3, cfg.ce_time, params.tx_power)
             rx = backscatter(chan, pilots, params.tag_amp_ce, params.noise_var,
                              (21, 2))
             ls = ls_matrix(rx, cfg)
@@ -164,7 +166,8 @@ class TestLmmseMatrix:
         # differential check against the NK x NK solve of the full prior
         for gamma_e_db in (-5.0, 5.0, 20.0):
             params, chan, _, cfg = _rx_at_ce_snr(gamma_e_db, k, seed=22, n=n)
-            pilots = build_pilots(k, cfg.ce_time, params.tx_power, kind=kind)
+            pilots = (build_pilots if kind == "identity" else dft_pilots)(
+                k, cfg.ce_time, params.tx_power)
             rx = backscatter(chan, pilots, params.tag_amp_ce, params.noise_var,
                              (22, 2))
             gain = lmmse_gain(rx.pilot_scaled, prior_covariance(params.beta, n, k),
@@ -197,16 +200,16 @@ class TestLmmseMatrix:
 
     def test_paired_mse_beats_ls_at_unity_ce_snr(self):
         params = params_at_ce_snr_db(0.0, n_antennas=6)
-        ls_mse, mm_mse = matrix_mse_paired(params, PilotConfig(6, 1e-4),
-                                           trials=10_000, seed=41)
-        assert mm_mse.value <= ls_mse.value
+        mse = mc_metrics(params, PilotConfig(6, 1e-4), (LS, LMMSE), 10_000, 41,
+                         ("mse_mat",))
+        assert mse[LMMSE, "mse_mat"].value <= mse[LS, "mse_mat"].value
 
     @pytest.mark.parametrize("gamma_e_db", [-10.0, 0.0, 10.0, 30.0])
     def test_paired_dominance_across_snr(self, gamma_e_db):
         params = params_at_ce_snr_db(gamma_e_db, n_antennas=4)
-        ls_mse, mm_mse = matrix_mse_paired(params, PilotConfig(4, 1e-4),
-                                           trials=3000, seed=43)
-        assert mm_mse.value <= ls_mse.value
+        mse = mc_metrics(params, PilotConfig(4, 1e-4), (LS, LMMSE), 3000, 43,
+                         ("mse_mat",))
+        assert mse[LMMSE, "mse_mat"].value <= mse[LS, "mse_mat"].value
 
     def test_rejects_nonpositive_noise(self):
         params, chan, rx, cfg = _rx_at_ce_snr(0.0, 2, seed=51, n=3)

@@ -5,11 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsc_estim import cli
+from bsc_estim import cli, snr
 from bsc_estim.experiments import (
     DEFAULTS,
-    STUDIES,
-    SWEEP_KINDS,
     ConfigError,
     ResultRow,
     load_config,
@@ -126,25 +124,6 @@ class TestWriteCsv:
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
-class TestStudiesRegistry:
-    def test_every_study_has_exactly_one_sweep(self):
-        assert len(STUDIES) == 13
-        for study, kind in STUDIES.items():
-            assert kind in SWEEP_KINDS, study
-
-    def test_expected_studies_present(self):
-        expected = {
-            "received_power_full_pilots", "received_power_single_pilot",
-            "vector_mse_vs_snr", "snr_closed_form_vs_mc",
-            "snr_closed_form_vs_mc_per_count", "snr_vs_ce_time_ls",
-            "snr_vs_ce_time_lmmse", "received_power_vs_pilot_count",
-            "snr_vs_pilot_count", "joint_design_vs_antennas",
-            "snr_schemes_vs_antennas", "snr_schemes_vs_range",
-            "snr_schemes_normalized",
-        }
-        assert set(STUDIES) == expected
-
-
 def _quick_cfg(tmp_path, body):
     return load_config(_write(tmp_path, body))
 
@@ -226,6 +205,24 @@ class TestRunExperiment:
         ks = [r for r in rows if r.metric_name == "k_joint"]
         assert len(ks) == 2
         assert all(r.value in (1.0, 20.0) for r in ks)
+
+    def test_both_flavors_share_each_draw(self, tmp_path, monkeypatch):
+        calls = []
+        draw = snr.draw_channel
+        monkeypatch.setattr(snr, "draw_channel",
+                            lambda *a, **kw: calls.append(a[1]) or draw(*a, **kw))
+        cfg = _quick_cfg(tmp_path, """
+            n_antennas = 3
+            pilot_count = 3
+            trials = 7
+            sweep = SNR_SWEEP
+            sweep_grid = 0, 10, 20
+            estimator = BOTH
+            workers = 1
+        """)
+        rows = run_experiment(cfg)
+        assert {r.metric_name for r in rows} >= {"snr_mc_ls", "snr_mc_lmmse"}
+        assert len(calls) == 7 * 3
 
     def test_determinism_same_seed(self, tmp_path):
         body = """
@@ -328,6 +325,24 @@ class TestCli:
         assert res.returncode == 1, res.stderr
         assert "config error" in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("body", [
+        "n_antennas = 4\nsweep = K_SWEEP\nsweep_grid = 1, 2, 30\n",
+        "n_antennas = 4\nsweep = K_SWEEP\nsweep_grid = 0.4, 1.2\n",
+        "n_antennas = 4\nsweep = K_SWEEP\nsweep_grid = 1.2, 1.4\n",
+        "sweep = N_SWEEP\nsweep_grid = 0.2, 2\n",
+        "sweep = TAU_SWEEP\nsweep_grid = -1e-4, 1e-4\n",
+        "sweep = COMPARE\nsweep_grid = -5, 60\n",
+        "sweep = JOINT\nsweep_grid = 0, 60\n",
+    ])
+    def test_grid_outside_sweep_domain_fails_at_load(self, tmp_path, capsys, body):
+        cfg = _write(tmp_path, "trials = 3\nestimator = LS\n" + body)
+        out = tmp_path / "rows.csv"
+        rc = cli.main(["run", "--config", cfg, "--out", str(out), "--workers", "1"])
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "rows.csv.partial").exists()
 
     def test_optimize_prints_outcome_block(self, tmp_path):
         import json

@@ -66,7 +66,7 @@ class TestOptimalTa:
             tau = p.coherence_time
             got = optimal_ta(k, p)
             step = tau * (1 - 2e-9) / 9999
-            best = grid_argmax(lambda t: snr_approx(t, k, p).value_linear,
+            best = grid_argmax(lambda t: snr_approx(t, k, p),
                                1e-9 * tau, (1 - 1e-9) * tau, 10_000)
             assert abs(got - best) <= step
         assert p_base.coherence_time == 1e-3  # guard the fixture
@@ -86,9 +86,9 @@ class TestOptimalTa:
         p = make_params()
         tau = p.coherence_time
         t_opt = optimal_ta(20, p)
-        peak = snr_approx(t_opt, 20, p).value_linear
+        peak = snr_approx(t_opt, 20, p)
         grid = np.linspace(1e-6 * tau, (1 - 1e-6) * tau, 1000)
-        vals = np.array([snr_approx(t, 20, p).value_linear for t in grid])
+        vals = np.array([snr_approx(t, 20, p) for t in grid])
         assert peak >= vals.max() * (1 - 1e-9)
 
     def test_derivative_single_sign_change(self):
@@ -136,7 +136,7 @@ class TestJointOptimize:
         out = joint_optimize(p)
         assert out.k_opt in (1, 20)
         assert 0 < out.tau_c_opt < p.coherence_time
-        recomputed = snr_approx(out.tau_c_opt, out.k_opt, p).value_linear
+        recomputed = snr_approx(out.tau_c_opt, out.k_opt, p)
         assert out.predicted_snr == pytest.approx(recomputed, rel=1e-9)
         assert out.decision_path == (CORNER_K1 if out.k_opt == 1 else CORNER_KN)
 
@@ -169,11 +169,11 @@ class TestJointOptimize:
         for n in (4, 8, 20):
             p = make_params(n_antennas=n)
             corner_best = max(
-                snr_approx(optimal_ta(1, p), 1, p).value_linear,
-                snr_approx(optimal_ta(n, p), n, p).value_linear,
+                snr_approx(optimal_ta(1, p), 1, p),
+                snr_approx(optimal_ta(n, p), n, p),
             )
             for k in range(2, n):
-                interior = snr_approx(optimal_ta(k, p), k, p).value_linear
+                interior = snr_approx(optimal_ta(k, p), k, p)
                 assert interior <= corner_best * (1 + 1e-9)
 
     def test_joint_matches_exhaustive_grid_at_8(self):
@@ -190,7 +190,7 @@ class TestJointOptimize:
         best = 0.0
         for k in range(1, 9):
             for t in np.linspace(1e-4 * tau, (1 - 1e-4) * tau, 500):
-                best = max(best, snr_approx(t, k, p).value_linear)
+                best = max(best, snr_approx(t, k, p))
         assert 10 * np.log10(out.predicted_snr / best) >= -0.1
 
     def test_pilot_rule_overrides_closed_form_trend(self):
@@ -199,7 +199,7 @@ class TestJointOptimize:
         p = make_params(n_antennas=8)
         out = joint_optimize(p)
         assert out.k_opt == 8
-        k1 = snr_approx(optimal_ta(1, p), 1, p).value_linear
+        k1 = snr_approx(optimal_ta(1, p), 1, p)
         assert k1 > out.predicted_snr
 
 
@@ -219,4 +219,4 @@ class TestDecide:
     def test_beats_fixed_benchmark_allocation(self):
         p = make_params()
         out = decide(p, False)
-        assert out.predicted_snr >= snr_approx(1e-4, 20, p).value_linear
+        assert out.predicted_snr >= snr_approx(1e-4, 20, p)
