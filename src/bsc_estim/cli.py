@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -26,7 +25,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override config seed")
     run.add_argument("--trials", type=int, default=None, help="override trial count")
     run.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: config value or CPU count)")
+                     help="worker processes (default: the config's workers; "
+                          "0 there means the CPUs this process may use)")
     run.add_argument("--out", default=None, help="override output CSV path")
 
     opt = sub.add_parser("optimize", help="print the jointly optimal design")
@@ -36,10 +36,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_header(workers: int) -> str:
+    """One line on what a run runs with: workers, BLAS build, BLAS threads."""
+    from .snr import KERNEL_BLAS_THREADS, blas_threads
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        build = "unknown"
+    threads = (KERNEL_BLAS_THREADS if blas_threads() is not None
+               else "unpinned (no OpenBLAS loaded in this process)")
+    return (f"bsc-estim run: workers={workers}, blas={build}, "
+            f"blas_threads_per_process={threads}")
+
+
 def _cmd_run(args) -> int:
     from dataclasses import replace
 
-    from .experiments import ConfigError, iter_experiment, load_config, write_csv
+    from .experiments import (
+        ConfigError,
+        iter_experiment,
+        load_config,
+        resolve_workers,
+        write_csv,
+    )
 
     try:
         cfg = load_config(args.config)
@@ -53,14 +74,13 @@ def _cmd_run(args) -> int:
             if args.workers < 1:
                 raise ConfigError(f"workers must be >= 1, got {args.workers}")
             cfg = replace(cfg, workers=args.workers)
-        elif cfg.workers == 0:
-            cfg = replace(cfg, workers=max(1, os.cpu_count() or 1))
         if args.out is not None:
             cfg = replace(cfg, output_path=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    print(_run_header(resolve_workers(cfg.workers)), file=sys.stderr)
     rows = []
     try:
         for row in iter_experiment(cfg):

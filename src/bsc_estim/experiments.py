@@ -60,7 +60,7 @@ DEFAULTS = {
     "seed": 1,
     "estimator": "BOTH",
     "output_path": "results.csv",
-    "workers": 0,                # 0 = use the hardware parallelism
+    "workers": 0,                # 0 = auto, see resolve_workers
     "has_prior_stats": True,
 }
 
@@ -256,8 +256,19 @@ def _params_for_ce_snr_db(cfg: ExperimentConfig, gamma_e_db: float) -> SystemPar
     return replace(p, noise_var=noise)
 
 
+def resolve_workers(workers: int) -> int:
+    """The worker count a run uses: ``workers``, or for 0 ("auto") the CPUs
+    this process may run on, so a CPU-limited container is not oversubscribed."""
+    if workers > 0:
+        return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def iter_experiment(cfg: ExperimentConfig):
     """Yield result rows one sweep point at a time (lets callers flush early)."""
+    cfg = replace(cfg, workers=resolve_workers(cfg.workers))
     if cfg.sweep == "SNR_SWEEP":
         yield from _run_snr_sweep(cfg)
     elif cfg.sweep == "TAU_SWEEP":

@@ -11,12 +11,21 @@ Every Monte Carlo result is deterministic given its seed: trial t derives
 its channel and noise streams from the seed tuples (seed, t, 0) and
 (seed, t, 1), and reductions use exact compensated summation, so results do
 not depend on chunking or worker count.
+
+Trials run with one BLAS thread per process, in the caller or in one worker
+pool per process that later calls reuse.
 """
 
 from __future__ import annotations
 
+import atexit
+import ctypes
+import functools
 import math
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +128,108 @@ def approx_moments(flavor: str, cfg: PilotConfig, params: SystemParams,
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads and the worker pool
+
+# A trial's dense problems are tiny (a 2K x 2K eigh, 2N x 2N solves): threaded
+# BLAS only spins on them, so every process that runs trials uses one thread.
+KERNEL_BLAS_THREADS = 1
+
+# (get, set) symbol names, ILP64 scipy-openblas wheels first
+_OPENBLAS_SYMBOLS = tuple(
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", ""))
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS loaded in this process.
+
+    Looks through the shared objects mapped into the process (Linux), as
+    threadpoolctl does, so it finds the OpenBLAS numpy linked whether numpy
+    vendors it or uses the system's.  None when there is no OpenBLAS.
+    """
+    paths = set()
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            for line in fh:
+                fields = line.split(None, 5)
+                if len(fields) == 6 and "openblas" in fields[5].lower():
+                    paths.add(fields[5].strip())
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS thread count of this process, or None when no OpenBLAS is loaded."""
+    lib = _openblas()
+    return None if lib is None else lib[0]()
+
+
+def set_blas_threads(n: int) -> int | None:
+    """Set this process's OpenBLAS thread count and return the previous one.
+
+    A no-op returning None when no OpenBLAS is loaded.
+    """
+    lib = _openblas()
+    if lib is None:
+        return None
+    previous = lib[0]()
+    lib[1](n)
+    return previous
+
+
+class _WorkerPool:
+    """One process pool of trial workers, reused by every parallel call.
+
+    Created on first use, replaced when the worker count changes or a worker
+    dies, and shut down at exit.  An initializer pins each worker to
+    :data:`KERNEL_BLAS_THREADS`, so it holds under ``fork`` and ``spawn``.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._executor: ProcessPoolExecutor | None = None
+        self._workers = 0
+
+    def map(self, fn, jobs: list, workers: int) -> list:
+        with self._lock:
+            if self._executor is None or self._workers != workers:
+                self.shutdown()
+                if not self._workers:  # this process's first pool
+                    atexit.register(self.shutdown)
+                self._executor = ProcessPoolExecutor(
+                    workers, initializer=set_blas_threads,
+                    initargs=(KERNEL_BLAS_THREADS,))
+                self._workers = workers
+            try:
+                return list(self._executor.map(fn, jobs))
+            except BrokenProcessPool:
+                self.shutdown()
+                raise
+
+    def shutdown(self) -> None:
+        """Stop the workers; the next :meth:`map` starts a fresh pool."""
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
+
+
+_POOL = _WorkerPool()
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo kernel
 
 # Per-trial samples, before mc_metrics scales their mean and standard error:
@@ -177,6 +288,9 @@ def _mc_samples(params: SystemParams, cfg: PilotConfig, flavors: tuple[str, ...]
     """Per-trial samples keyed by (flavor, metric), identical for any worker count.
 
     Every flavor sees the same channel, noise and LS estimate of each trial.
+    Serial calls run with this process pinned to :data:`KERNEL_BLAS_THREADS`
+    and restore its previous BLAS thread count on return; parallel calls
+    run on the process's reusable worker pool.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -185,16 +299,20 @@ def _mc_samples(params: SystemParams, cfg: PilotConfig, flavors: tuple[str, ...]
     cfg.validate_against(params)
 
     if workers <= 1 or trials < 4 * workers:
-        return _trial_chunk((params, cfg, flavors, seed, 0, trials, metrics))
+        previous = set_blas_threads(KERNEL_BLAS_THREADS)
+        try:
+            return _trial_chunk((params, cfg, flavors, seed, 0, trials, metrics))
+        finally:
+            if previous is not None:
+                set_blas_threads(previous)
 
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
     jobs = [(params, cfg, flavors, seed, int(lo), int(hi), metrics)
             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     out: dict[tuple[str, str], list[float]] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(_trial_chunk, jobs):
-            for key, samples in chunk.items():
-                out.setdefault(key, []).extend(samples)
+    for chunk in _POOL.map(_trial_chunk, jobs, workers):
+        for key, samples in chunk.items():
+            out.setdefault(key, []).extend(samples)
     return out
 
 

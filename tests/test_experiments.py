@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -5,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsc_estim import cli, snr
+from bsc_estim import cli, experiments, snr
 from bsc_estim.experiments import (
     DEFAULTS,
     ConfigError,
     ResultRow,
     load_config,
+    resolve_workers,
     run_experiment,
     write_csv,
 )
@@ -224,6 +226,33 @@ class TestRunExperiment:
         assert {r.metric_name for r in rows} >= {"snr_mc_ls", "snr_mc_lmmse"}
         assert len(calls) == 7 * 3
 
+    def test_auto_workers_count_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert resolve_workers(0) == 2
+        assert resolve_workers(5) == 5
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert resolve_workers(0) == 64
+
+    def test_library_run_resolves_auto_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 2, 5}, raising=False)
+        seen = []
+        mc = experiments.mc_metrics
+        # record the worker count, then run serially
+        monkeypatch.setattr(experiments, "mc_metrics",
+                            lambda *a: seen.append(a[-1]) or mc(*a[:-1], 1))
+        cfg = _quick_cfg(tmp_path, """
+            n_antennas = 3
+            pilot_count = 3
+            trials = 20
+            sweep = SNR_SWEEP
+            sweep_grid = 0, 10
+            estimator = LS
+        """)
+        assert cfg.workers == 0
+        run_experiment(cfg)
+        assert seen == [3, 3]
+
     def test_determinism_same_seed(self, tmp_path):
         body = """
             n_antennas = 3
@@ -252,6 +281,11 @@ class TestGoldenCsv:
         assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
 
 
+def _blas_build():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run([sys.executable, "-m", "bsc_estim.cli", *args],
@@ -271,6 +305,30 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         header = open(out, encoding="utf-8").readline().strip()
         assert header == "sweep_value,metric,value,std_error,trials"
+
+    @pytest.mark.parametrize("openblas", [True, False])
+    def test_run_header_on_stderr(self, tmp_path, monkeypatch, capsys, openblas):
+        if not openblas:
+            monkeypatch.setattr(snr, "_openblas", lambda: None)
+        elif snr.blas_threads() is None:
+            pytest.skip("numpy loaded no OpenBLAS here")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cfg = _write(tmp_path, """
+            n_antennas = 3
+            pilot_count = 3
+            trials = 8
+            sweep = SNR_SWEEP
+            sweep_grid = 0, 10
+            estimator = LS
+        """)
+        out = tmp_path / "rows.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        threads = "1" if openblas else "unpinned (no OpenBLAS loaded in this process)"
+        assert captured.err.splitlines() == [
+            f"bsc-estim run: workers=1, blas={_blas_build()}, "
+            f"blas_threads_per_process={threads}"]
+        assert captured.out == f"wrote 16 rows to {out}\n"
 
     def test_validation_error_exit_one(self, tmp_path):
         cfg = _write(tmp_path, "trials = 0\n")

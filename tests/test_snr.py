@@ -1,4 +1,11 @@
+import functools
 import math
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -19,7 +26,14 @@ from bsc_estim import (
     snr_perfect_csi,
     vector_estimate,
 )
-from bsc_estim.snr import METRICS, _mc_samples
+from bsc_estim import snr
+from bsc_estim.snr import (
+    KERNEL_BLAS_THREADS,
+    METRICS,
+    _mc_samples,
+    blas_threads,
+    set_blas_threads,
+)
 from conftest import make_params, params_at_ce_snr_db, random_channel_vector
 from _oracles import corner_received_power, effective_snr_sample
 
@@ -339,3 +353,89 @@ class TestEstimateMse:
         cfg = PilotConfig(6, 1e-4)
         mse = mc_metrics(p, cfg, (LS, LMMSE), 5000, 18, ("mse_vec",))
         assert mse[LMMSE, "mse_vec"].value <= mse[LS, "mse_vec"].value * 1.02
+
+
+def _worker_blas_threads(_):
+    """A pool worker's OpenBLAS thread count."""
+    return blas_threads()
+
+
+def _bytes(samples):
+    return {key: np.array(values).tobytes() for key, values in samples.items()}
+
+
+needs_openblas = pytest.mark.skipif(
+    blas_threads() is None,
+    reason="numpy loaded no OpenBLAS here, so its thread count cannot be read")
+
+
+class TestKernelThreadsAndPool:
+    P = params_at_ce_snr_db(0.0, n_antennas=6)
+    CFG = PilotConfig(3, 1e-4)
+    ARGS = (P, CFG, (LS, LMMSE), 24, 21, METRICS)
+
+    @needs_openblas
+    def test_serial_kernel_runs_pinned_and_restores_caller(self, monkeypatch):
+        seen = []
+        chunk = snr._trial_chunk
+        monkeypatch.setattr(snr, "_trial_chunk",
+                            lambda args: seen.append(blas_threads()) or chunk(args))
+        previous = set_blas_threads(KERNEL_BLAS_THREADS + 1)
+        try:
+            caller = blas_threads()
+            mc_metrics(*self.ARGS, workers=1)
+            after_serial = blas_threads()
+            monkeypatch.undo()  # workers cannot unpickle the spy
+            mc_metrics(*self.ARGS, workers=2)
+            after_parallel = blas_threads()
+        finally:
+            set_blas_threads(previous)
+        assert caller == KERNEL_BLAS_THREADS + 1
+        assert seen == [KERNEL_BLAS_THREADS]
+        assert after_serial == after_parallel == caller
+
+    @needs_openblas
+    def test_pool_workers_run_pinned(self):
+        # workers forked from an unpinned caller still run with one thread
+        snr._POOL.shutdown()
+        previous = set_blas_threads(KERNEL_BLAS_THREADS + 1)
+        try:
+            reports = snr._POOL.map(_worker_blas_threads, range(8), 2)
+        finally:
+            set_blas_threads(previous)
+        assert set(reports) == {KERNEL_BLAS_THREADS}
+
+    @needs_openblas
+    def test_pool_workers_run_pinned_under_spawn(self, monkeypatch):
+        monkeypatch.setattr(snr, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+        pool = snr._WorkerPool()
+        try:
+            reports = pool.map(_worker_blas_threads, range(4), 2)
+        finally:
+            pool.shutdown()
+        assert set(reports) == {KERNEL_BLAS_THREADS}
+
+    def test_parallel_calls_reuse_one_pool_and_match_serial(self):
+        serial = _bytes(_mc_samples(*self.ARGS, 1))
+        for workers in (2, 3):
+            first = _bytes(_mc_samples(*self.ARGS, workers))
+            executor = snr._POOL._executor
+            pids = set(executor._processes)
+            second = _bytes(_mc_samples(*self.ARGS, workers))
+            assert snr._POOL._executor is executor
+            assert set(executor._processes) == pids and len(pids) == workers
+            assert first == second == serial, workers
+
+    def test_dead_worker_fails_the_call_and_the_next_call_starts_afresh(self):
+        serial = _bytes(_mc_samples(*self.ARGS, 1))
+        _mc_samples(*self.ARGS, 2)
+        executor = snr._POOL._executor
+        os.kill(next(iter(executor._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while not executor._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with pytest.raises(BrokenProcessPool):
+            _mc_samples(*self.ARGS, 2)
+        assert _bytes(_mc_samples(*self.ARGS, 2)) == serial
+        assert snr._POOL._executor is not executor
