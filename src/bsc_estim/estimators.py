@@ -6,7 +6,10 @@ least squares through the pilot pseudo-inverse, or the linear MMSE estimate,
 which for the package's orthogonal pilots is three O(NK) scalar shrinks of
 the LS estimate.  Stage two recovers the channel vector itself from the
 matrix estimate by reducing the rank-one fitting problem to a real symmetric
-eigenvalue problem of size 2K.
+eigenvalue problem of size 2K.  At K = N only its top eigenpair is used, and
+that comes from a K x K Hermitian eigenproblem instead (a Takagi vector of
+the head's symmetric part); 1 < K < N solves the whole 2K spectrum, because
+every positive eigenpair seeds a candidate there.
 
 :func:`prior_covariance` and :func:`lmmse_gain` solve the same filter as a
 dense NK x NK system; only tests call them, as the reference.
@@ -31,6 +34,13 @@ _DEGENERATE_EIGENVALUE = 1e-30
 # Stationarity residual (unit-normalized) above which the reduced solution is
 # refined; exact inputs and the K=1 / K=N closed forms sit many orders below.
 _REFINE_GRADIENT_TOL = 1e-10
+
+# Relative shortfall of |u^H S conj(u)| below the top singular value of S at
+# which the K = N Takagi path treats the top singular value as tied.  Rounding
+# keeps the shortfall below 3e-15 for a simple top value (1600 seeded draws,
+# N <= 40); a shortfall of delta that passed would move the unit-normalized
+# objective by about delta * sigma^2 / 2.
+_TAKAGI_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -181,7 +191,7 @@ def _residual_gradient(r: np.ndarray, h: np.ndarray, k: int) -> np.ndarray:
 
 def _refine(h_hat_matrix: np.ndarray, h0: np.ndarray, k: int,
             max_iter: int = 60) -> np.ndarray:
-    """Descend the fitting error from h0 to the nearby stationary point.
+    """Descend the fitting error from h0 towards the nearby stationary point.
 
     Used only for noisy inputs with 1 < K < N, where the eigenvalue
     reduction satisfies the head and tail conditions separately but not
@@ -189,7 +199,14 @@ def _refine(h_hat_matrix: np.ndarray, h0: np.ndarray, k: int,
     its basin, so the polished point keeps the reduction's global character;
     the cost never increases.  The fit is quadratic in h, so the exact
     Hessian is the Gauss-Newton matrix plus the realified symmetrized
-    residual, and convergence is quadratic even for large-residual inputs.
+    residual, and convergence is quadratic once the damping has shrunk.
+
+    It returns after ``max_iter`` iterations wherever it stands, and that
+    point need not be stationary.  On C09's study (N = 20, K = 2..19, -5, 0
+    and +5 dB, 1000 seeded trials) 1428 of 117891 refinements (1.2%) stopped
+    there, with a unit-normalized gradient up to 0.55 and an objective up to
+    8.7 times the one 600 iterations reach; on 239 of them the converged
+    start would have beaten the candidate that won.
 
     The real 2N x 2N Hessian is [[B_re, -B_im], [B_im, B_re]] plus
     [[A_re, -A_im], [-A_im, -A_re]], with B the complex Gauss-Newton block
@@ -297,6 +314,34 @@ def _reduction_candidates(h_hat_matrix: np.ndarray,
     return out
 
 
+def _takagi_pair(h_hat_matrix: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """Top eigenpair of the realified head block at K = N, from a K x K eigh.
+
+    The head's symmetric part S = conj(M) + conj(M)^T has a Takagi
+    factorization S = U Sigma U^T, and the positive eigenpairs of phi(S) are
+    exactly (sigma_j, [Re x_j; Im x_j]) with x_j = conj(u_j), i.e.
+    S x = sigma conj(x).  The top u is the top eigenvector of the Hermitian
+    S S^H; t = u^H S conj(u) then has |t| = sigma, and rotating conj(u) by
+    (conj(t) / sigma)^(1/2) gives an x with S x = sigma conj(x).
+
+    A tied top singular value leaves u anywhere in its left singular
+    subspace, where |t| falls below sigma; that case returns None and the
+    caller takes the 2K x 2K spectrum instead.
+    """
+    s = h_hat_matrix.conj()
+    s = s + s.T
+    w, u = np.linalg.eigh(s @ s.conj().T)
+    u_top = u[:, -1]
+    t = complex(np.vdot(u_top, s @ u_top.conj()))
+    sigma = abs(t)
+    if sigma < (1.0 - _TAKAGI_TIE_TOL) * np.sqrt(max(float(w[-1]), 0.0)):
+        return None
+    if sigma <= _DEGENERATE_EIGENVALUE:
+        return sigma, np.zeros(2 * s.shape[0])
+    x = u_top.conj() * np.sqrt(t.conjugate() / sigma)
+    return sigma, np.concatenate([x.real, x.imag])
+
+
 def _candidate(h_hat_matrix: np.ndarray, lam: float, v: np.ndarray) -> np.ndarray:
     """Candidate vector from one eigenpair of the realified head block.
 
@@ -361,14 +406,21 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
     tail rows against the conjugated head, with ||h_K||**2 evaluated as
     lambda / 2.  The '+' sign branch is taken and then canonicalized.
 
+    At K = N that top pair comes from the K x K Hermitian S S^H, with S the
+    head's symmetric part (see :func:`_takagi_pair`), rather than from the
+    2K x 2K real block; a tied top singular value falls back to the 2K x 2K
+    spectrum.  For 1 < K < N the full 2K x 2K spectrum is solved, because
+    every positive eigenpair seeds a candidate.
+
     For 1 < K < N on noisy input the reduced solution is not exactly
     stationary (the head eigenproblem and the tail fill-in decouple a
-    coupled system), so it is descended to the nearby stationary point of
-    the fitting error.  Sibling eigenpairs are tried as well, because on
-    about one noisy draw in seven the principal pair sits in a worse basin
-    (see :func:`_reduction_candidates`); the lowest-objective candidate
-    wins.  The K = 1 and K = N paths are exactly stationary and globally
-    optimal.
+    coupled system), so it is descended towards the nearby stationary point
+    of the fitting error by at most 60 damped Newton iterations, which do not
+    always get there (see :func:`_refine`).  Sibling eigenpairs are tried as
+    well, because on about one noisy draw in seven the principal pair sits in
+    a worse basin (see :func:`_reduction_candidates`); the lowest-objective
+    candidate wins.  The K = 1 and K = N paths are exactly stationary and
+    globally optimal.
 
     All-noise inputs with a vanishing top eigenvalue yield a flagged zero
     estimate instead of a division by zero.
@@ -386,7 +438,8 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
     if k == 1:
         head, lam = _head_single_pilot(mn)
     else:
-        pairs = _reduction_candidates(mn, k)
+        top = _takagi_pair(mn) if k == n else None
+        pairs = [top] if top is not None else _reduction_candidates(mn, k)
         lam = pairs[0][0] if pairs else 0.0
     if lam <= _DEGENERATE_EIGENVALUE:
         return VectorEstimate(h_hat=np.zeros(n, dtype=complex),

@@ -130,8 +130,9 @@ def approx_moments(flavor: str, cfg: PilotConfig, params: SystemParams,
 # ---------------------------------------------------------------------------
 # BLAS threads and the worker pool
 
-# A trial's dense problems are tiny (a 2K x 2K eigh, 2N x 2N solves): threaded
-# BLAS only spins on them, so every process that runs trials uses one thread.
+# A trial's dense problems are tiny (a K x K Hermitian eigh at K = N, a
+# 2K x 2K real eigh and 2N x 2N solves for 1 < K < N): threaded BLAS only
+# spins on them, so every process that runs trials uses one thread.
 KERNEL_BLAS_THREADS = 1
 
 # (get, set) symbol names, ILP64 scipy-openblas wheels first

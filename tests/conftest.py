@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bsc_estim
 from bsc_estim import SystemParams
 
 
@@ -42,3 +48,17 @@ def params_at_ce_snr_db(gamma_e_db: float, tau_c: float = 1e-4, **overrides):
 
 def random_channel_vector(rng: np.random.Generator, n: int, beta: float = 1.0):
     return np.sqrt(beta / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m bsc_estim.cli`` in a child that imports this checkout.
+
+    pytest's ``pythonpath`` setting does not reach child interpreters, so
+    the directory this process imported bsc_estim from goes on PYTHONPATH.
+    """
+    root = str(Path(bsc_estim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "bsc_estim.cli", *args],
+                          capture_output=True, text=True, env=env)

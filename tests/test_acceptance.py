@@ -6,8 +6,6 @@ descriptions; tolerances are pinned here, not tuned at runtime.
 """
 
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -29,7 +27,8 @@ from bsc_estim import (
     vector_estimate,
 )
 from bsc_estim.optimizer import ce_snr_at_k1_optimum
-from conftest import make_params, params_at_ce_snr_db, random_channel_vector
+from conftest import (make_params, params_at_ce_snr_db, random_channel_vector,
+                      run_cli)
 from _oracles import brute_force_min, corner_received_power, grid_argmax
 
 
@@ -311,11 +310,8 @@ def test_c11_cli_determinism(tmp_path):
     outputs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        res = subprocess.run(
-            [sys.executable, "-m", "bsc_estim.cli", "run",
-             "--config", str(cfg_path), "--out", str(out), "--workers", "2"],
-            capture_output=True, text=True,
-        )
+        res = run_cli("run", "--config", str(cfg_path), "--out", str(out),
+                      "--workers", "2")
         assert res.returncode == 0, res.stderr
         outputs.append(out.read_bytes())
     ok = outputs[0] == outputs[1]

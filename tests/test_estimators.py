@@ -21,6 +21,7 @@ from bsc_estim.estimators import (
     _head_single_pilot,
     _pilot_energy,
     _reduction_candidates,
+    _takagi_pair,
     lmmse_gain,
     prior_covariance,
 )
@@ -44,6 +45,14 @@ def _noisy_estimate(rng, n, k, noise_scale, beta=1.0):
                            + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
     return h, MatrixEstimate(h_hat_matrix=truth + noise, flavor=LS,
                              pilot_config=PilotConfig(k, 1e-4))
+
+
+def _eigenpath_oracle(m):
+    """Top eigenpair of the 2K x 2K realified head: (h, eigenvalue, objective)."""
+    scale = np.linalg.norm(m)
+    lam, v = _reduction_candidates(m / scale, m.shape[1])[0]
+    h = _candidate(m / scale, lam, v) * np.sqrt(scale)
+    return h, lam * scale, rank_one_objective(m, h)
 
 
 def _rx_at_ce_snr(gamma_e_db, k, seed, n=20, tau_c=1e-4):
@@ -322,11 +331,62 @@ class TestVectorEstimate:
                       np.linalg.norm(head_fast + head_gen))
             assert err <= 1e-9 * np.linalg.norm(head_fast)
 
-    def test_degenerate_zero_input(self):
-        est = MatrixEstimate(np.zeros((3, 2), complex), LS, PilotConfig(2, 1e-4))
-        v = vector_estimate(est)
+    def test_k_equals_n_matches_realified_eigenpath(self):
+        # K = N goes through the K x K Takagi path; the 2K x 2K eigenpath it
+        # replaces is the oracle, on seeded LS and LMMSE draws
+        for n in (2, 3, 8, 20, 40):
+            cfg = PilotConfig(n, 1e-4)
+            for gamma_e_db in (-10.0, 0.0, 10.0, 30.0):
+                params = params_at_ce_snr_db(gamma_e_db, n_antennas=n)
+                pilots = build_pilots(n, cfg.ce_time, params.tx_power)
+                for t in range(40):
+                    chan = draw_channel(params, (606, t, 0), pilot_count=n)
+                    rx = backscatter(chan, pilots, params.tag_amp_ce,
+                                     params.noise_var, (606, t, 1))
+                    ls = ls_matrix(rx, cfg)
+                    mm = lmmse_matrix(ls, params.beta,
+                                      _pilot_energy(rx.pilot_scaled),
+                                      params.noise_var)
+                    for est in (ls, mm):
+                        case = (n, gamma_e_db, t, est.flavor)
+                        got = vector_estimate(est)
+                        h, lam, obj = _eigenpath_oracle(est.h_hat_matrix)
+                        err = min(np.linalg.norm(got.h_hat - h),
+                                  np.linalg.norm(got.h_hat + h))
+                        assert err <= 1e-12 * np.linalg.norm(h), case
+                        assert got.top_eigenvalue == pytest.approx(lam, rel=1e-12), case
+                        assert got.objective == pytest.approx(obj, rel=1e-12), case
+
+    @pytest.mark.parametrize("n", [3, 8, 20])
+    def test_k_equals_n_tied_top_value_falls_back(self, n):
+        # conj(M) + conj(M)^T = Q diag(1, 1, 1/2, ...) Q^T: the top Takagi
+        # value is doubled, so u^H S conj(u) falls short of it
+        rng = np.random.default_rng(607 + n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        sigma = np.full(n, 0.5)
+        sigma[:2] = 1.0
+        m = ((q * sigma) @ q.T).conj() / 2.0
+        assert _takagi_pair(m / np.linalg.norm(m)) is None
+        got = vector_estimate(MatrixEstimate(m, LS, PilotConfig(n, 1e-4)))
+        _, lam, obj = _eigenpath_oracle(m)
+        assert got.top_eigenvalue == pytest.approx(lam, rel=1e-12)
+        assert got.objective == pytest.approx(obj, rel=1e-12)
+
+    def test_k_equals_n_antisymmetric_head_is_degenerate(self):
+        # conj(M) + conj(M)^T = 0 exactly: no rank-one direction to recover
+        rng = np.random.default_rng(608)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        v = vector_estimate(MatrixEstimate(a - a.T, LS, PilotConfig(4, 1e-4)))
         assert v.degenerate
         assert np.all(v.h_hat == 0)
+
+    def test_degenerate_zero_input(self):
+        for n, k in [(3, 2), (4, 4)]:
+            est = MatrixEstimate(np.zeros((n, k), complex), LS, PilotConfig(k, 1e-4))
+            v = vector_estimate(est)
+            assert v.degenerate
+            assert np.all(v.h_hat == 0)
 
     def test_canonical_sign(self):
         rng = np.random.default_rng(67)

@@ -1,6 +1,4 @@
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +14,7 @@ from bsc_estim.experiments import (
     run_experiment,
     write_csv,
 )
+from conftest import run_cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -287,10 +286,6 @@ def _blas_build():
 
 
 class TestCli:
-    def _run(self, *args):
-        return subprocess.run([sys.executable, "-m", "bsc_estim.cli", *args],
-                              capture_output=True, text=True)
-
     def test_run_writes_csv_and_exit_zero(self, tmp_path):
         cfg = _write(tmp_path, """
             n_antennas = 3
@@ -301,7 +296,7 @@ class TestCli:
             estimator = LS
         """)
         out = str(tmp_path / "rows.csv")
-        res = self._run("run", "--config", cfg, "--out", out, "--workers", "1")
+        res = run_cli("run", "--config", cfg, "--out", out, "--workers", "1")
         assert res.returncode == 0, res.stderr
         header = open(out, encoding="utf-8").readline().strip()
         assert header == "sweep_value,metric,value,std_error,trials"
@@ -332,7 +327,7 @@ class TestCli:
 
     def test_validation_error_exit_one(self, tmp_path):
         cfg = _write(tmp_path, "trials = 0\n")
-        res = self._run("run", "--config", cfg)
+        res = run_cli("run", "--config", cfg)
         assert res.returncode == 1
         assert "config error" in res.stderr
 
@@ -345,7 +340,7 @@ class TestCli:
             sweep_grid = 0
             estimator = LS
         """)
-        res = self._run("run", "--config", cfg, "--out",
+        res = run_cli("run", "--config", cfg, "--out",
                         str(tmp_path / "missing_dir" / "rows.csv"),
                         "--workers", "1")
         assert res.returncode == 2
@@ -372,14 +367,14 @@ class TestCli:
         "distance = 1e300", "carrier_freq = 1e200",
     ])
     def test_non_finite_input_fails_at_load(self, tmp_path, line):
-        res = self._run("optimize", "--config", _write(tmp_path, line + "\n"))
+        res = run_cli("optimize", "--config", _write(tmp_path, line + "\n"))
         assert res.returncode == 1, res.stdout + res.stderr
         assert "config error" in res.stderr
 
     def test_non_finite_sweep_grid_fails_at_load(self, tmp_path):
         cfg = _write(tmp_path, "n_antennas = 2\ntrials = 3\nsweep_grid = 0, nan\n")
         out = tmp_path / "rows.csv"
-        res = self._run("run", "--config", cfg, "--out", str(out), "--workers", "1")
+        res = run_cli("run", "--config", cfg, "--out", str(out), "--workers", "1")
         assert res.returncode == 1, res.stderr
         assert "config error" in res.stderr
         assert not out.exists()
@@ -405,7 +400,7 @@ class TestCli:
     def test_optimize_prints_outcome_block(self, tmp_path):
         import json
         cfg = _write(tmp_path, "")
-        res = self._run("optimize", "--config", cfg)
+        res = run_cli("optimize", "--config", cfg)
         assert res.returncode == 0, res.stderr
         block = json.loads(res.stdout)
         assert set(block) == {"tau_c_opt", "k_opt", "predicted_snr",
@@ -415,6 +410,6 @@ class TestCli:
         assert block["estimator_choice"] == "LMMSE"   # prior stats default on
 
     def test_selftest_passes(self):
-        res = self._run("selftest")
+        res = run_cli("selftest")
         assert res.returncode == 0, res.stdout + res.stderr
         assert "FAIL" not in res.stdout
