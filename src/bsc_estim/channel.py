@@ -10,26 +10,41 @@ rank-one cascaded channel through the backscattered pilot block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 # Nominal propagation speed used by the link-budget convention (not CODATA c).
 SPEED_OF_LIGHT = 3.0e8
 
+# Largest array size: below 2**31, integer products such as (N-1)(N-2) are
+# exact in int64, so the array forms of the closed forms round as the
+# scalar ones do.
+MAX_ANTENNAS = 2 ** 31 - 1
+
 
 def path_loss_beta(freq_hz: float, distance_m: float, exponent: float) -> float:
     """Average channel power gain for a carrier at ``freq_hz`` over ``distance_m``.
 
     Computes (c / (4*pi*f))**2 / d**exponent with c = 3e8 m/s.  All inputs
-    must be strictly positive.
+    must be strictly positive, and the gain must come out positive and
+    finite: a ValueError is raised when d**exponent or the quotient under-
+    or overflows.
     """
     if freq_hz <= 0 or distance_m <= 0 or exponent <= 0:
         raise ValueError(
             "path_loss_beta requires positive inputs, got "
             f"freq_hz={freq_hz}, distance_m={distance_m}, exponent={exponent}"
         )
-    return (SPEED_OF_LIGHT / (4.0 * np.pi * freq_hz)) ** 2 / distance_m ** exponent
+    try:
+        beta = (SPEED_OF_LIGHT / (4.0 * np.pi * freq_hz)) ** 2 / distance_m ** exponent
+    except (OverflowError, ZeroDivisionError):  # a power over- or underflows
+        beta = math.nan
+    if not 0 < beta < math.inf:
+        raise ValueError(
+            "path-loss gain is not a positive finite number for "
+            f"freq_hz={freq_hz}, distance_m={distance_m}, exponent={exponent}")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -55,8 +70,9 @@ class SystemParams:
     beta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_antennas < 1:
-            raise ValueError(f"n_antennas must be >= 1, got {self.n_antennas}")
+        if not 1 <= self.n_antennas <= MAX_ANTENNAS:
+            raise ValueError(
+                f"n_antennas must lie in [1, {MAX_ANTENNAS}], got {self.n_antennas}")
         for name in ("coherence_time", "sample_len", "tx_power", "noise_var",
                      "carrier_freq", "distance", "pathloss_exp"):
             if not 0 < getattr(self, name) < math.inf:
@@ -67,17 +83,56 @@ class SystemParams:
             if not 0 < v <= 1:
                 raise ValueError(f"{name} must lie in (0, 1], got {v}")
         if self.beta is None:
-            try:
-                beta = path_loss_beta(self.carrier_freq, self.distance,
-                                      self.pathloss_exp)
-            except OverflowError:           # distance ** exponent
-                beta = 0.0
-            if beta <= 0:
-                raise ValueError("derived beta underflows to zero for carrier_freq="
-                                 f"{self.carrier_freq}, distance={self.distance}")
-            object.__setattr__(self, "beta", beta)
+            object.__setattr__(self, "beta", path_loss_beta(
+                self.carrier_freq, self.distance, self.pathloss_exp))
         elif not 0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
+
+
+class ParamGrid:
+    """Sweep points that share one :class:`SystemParams` except for the
+    path-loss gain or the array size.
+
+    Point i is ``params`` with ``beta[i]`` and ``n_antennas[i]``.
+    ``beta_sq[i]`` is ``beta[i] ** 2`` evaluated on a Python float, as the
+    scalar formulas square ``params.beta``, so array formulas built on it
+    round exactly as the scalar ones do.
+    """
+
+    def __init__(self, params: SystemParams, beta, n_antennas) -> None:
+        beta = np.asarray(beta, dtype=float)
+        n = np.asarray(n_antennas, dtype=np.int64)
+        if beta.ndim != 1 or beta.shape != n.shape:
+            raise ValueError(f"beta {beta.shape} and n_antennas {n.shape} "
+                             "must be vectors of one length")
+        if (not np.all((beta > 0) & (beta < math.inf))
+                or np.any((n < 1) | (n > MAX_ANTENNAS))):
+            raise ValueError("every beta must be positive and finite and "
+                             f"every n_antennas in [1, {MAX_ANTENNAS}]")
+        self.params = params
+        self.beta = beta                                  # float (P,)
+        self.n_antennas = n                               # int (P,)
+        self.beta_sq = np.array([b ** 2 for b in beta.tolist()])
+
+    @classmethod
+    def over_ranges(cls, params: SystemParams, distances) -> "ParamGrid":
+        """One point per range, each with its own derived path-loss gain."""
+        beta = [path_loss_beta(params.carrier_freq, d, params.pathloss_exp)
+                for d in distances]
+        return cls(params, beta, [params.n_antennas] * len(beta))
+
+    @classmethod
+    def over_antennas(cls, params: SystemParams, counts) -> "ParamGrid":
+        """One point per array size, all at ``params.beta``."""
+        return cls(params, [params.beta] * len(counts), counts)
+
+    def take(self, index) -> "ParamGrid":
+        return ParamGrid(self.params, self.beta[index], self.n_antennas[index])
+
+    def point(self, i: int) -> SystemParams:
+        """Point i as scalar :class:`SystemParams`."""
+        return replace(self.params, n_antennas=int(self.n_antennas[i]),
+                       beta=float(self.beta[i]))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PilotConfig, ReceivedSignal
-from .transforms import build_realified
+from .transforms import phi, sym
 
 LS = "LS"
 LMMSE = "LMMSE"
@@ -301,10 +301,11 @@ def _reduction_candidates(h_hat_matrix: np.ndarray,
     a sibling pair sits in the better fitting basin (16 of 108 seeded LS
     draws at N = 20, -5 to +5 dB), so callers keep the best-objective
     candidate after refinement.
-    Candidates are built only when a caller needs them.
+    Candidates are built only when a caller needs them.  Only the head's
+    operator z_a of :func:`~bsc_estim.transforms.build_realified` is formed;
+    the tail is filled in from the eigenvector later.
     """
-    rs = build_realified(h_hat_matrix, k)
-    w, v = np.linalg.eigh(rs.z_a)
+    w, v = np.linalg.eigh(phi(sym(h_hat_matrix[:k].conj())))
     out = []
     for i in range(2 * k - 1, -1, -1):
         lam = float(w[i])

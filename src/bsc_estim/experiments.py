@@ -23,20 +23,40 @@ Sweep kinds, what their grids hold, and the rows they write:
 
 Monte Carlo sweeps call :func:`~bsc_estim.snr.mc_metrics` once per sweep
 point for every flavor, so LS and LMMSE rows come from the same trials.
+The closed-form sweeps (N_SWEEP, JOINT, COMPARE) evaluate their whole grid
+in one array pass through the ``*_grid`` functions, which equal the scalar
+ones bit for bit, and then yield rows point by point.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import struct
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import PilotConfig, SystemParams, quantize_ce_time
+from .channel import (
+    MAX_ANTENNAS,
+    ParamGrid,
+    PilotConfig,
+    SystemParams,
+    path_loss_beta,
+    quantize_ce_time,
+)
 from .estimators import LMMSE, LS
-from .optimizer import joint_optimize, optimal_ta
-from .snr import mc_metrics, snr_approx, snr_isotropic, snr_perfect_csi
+from .optimizer import joint_optimize_grid, optimal_ta, optimal_ta_grid
+from .snr import (
+    mc_metrics,
+    snr_approx,
+    snr_approx_grid,
+    snr_isotropic,
+    snr_isotropic_grid,
+    snr_perfect_csi,
+    snr_perfect_csi_grid,
+)
 
 SWEEP_KINDS = ("SNR_SWEEP", "TAU_SWEEP", "K_SWEEP", "N_SWEEP", "JOINT", "COMPARE")
 ESTIMATORS = (LS, LMMSE, "BOTH")
@@ -203,7 +223,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("sweep_grid values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep_grid must be strictly increasing")
-    _check_grid(sweep, grid, params.n_antennas)
+    _check_grid(sweep, grid, params)
 
     trials = merged["trials"]
     if trials < 1:
@@ -226,17 +246,26 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
-def _check_grid(sweep: str, grid: list[float], n_antennas: int) -> None:
+def _check_grid(sweep: str, grid: list[float], params: SystemParams) -> None:
     """Reject grid values the sweep kind cannot run, before any point runs."""
+    n_antennas = params.n_antennas
     if sweep == "K_SWEEP":
         bad = [v for v in grid if not (v.is_integer() and 1 <= v <= n_antennas)]
         want = f"integer pilot counts in [1, n_antennas={n_antennas}]"
     elif sweep == "N_SWEEP":
-        bad = [v for v in grid if not (v.is_integer() and v >= 1)]
-        want = "integer antenna counts >= 1"
-    elif sweep in ("TAU_SWEEP", "JOINT", "COMPARE"):
+        bad = [v for v in grid if not (v.is_integer() and 1 <= v <= MAX_ANTENNAS)]
+        want = f"integer antenna counts in [1, {MAX_ANTENNAS}]"
+    elif sweep == "TAU_SWEEP":
         bad = [v for v in grid if v <= 0]
         want = "positive"
+    elif sweep in ("JOINT", "COMPARE"):
+        bad = []
+        for v in grid:
+            try:
+                path_loss_beta(params.carrier_freq, v, params.pathloss_exp)
+            except ValueError:
+                bad.append(v)
+        want = "positive ranges with a path-loss gain inside the float range"
     else:
         return
     if bad:
@@ -361,79 +390,105 @@ def _run_k_sweep(cfg: ExperimentConfig):
         yield ResultRow(k, "snr_approx", snr_approx(pilot.ce_time, k, cfg.params), 0.0, 0)
 
 
-def _scheme_rows(sweep_value: float, params: SystemParams, tau_c0: float):
-    """Closed-form SNRs of the benchmark schemes at one parameter point."""
-    n = params.n_antennas
-    yield ResultRow(sweep_value, "snr_isotropic", snr_isotropic(params), 0.0, 0)
-    yield ResultRow(sweep_value, "snr_fixed", snr_approx(tau_c0, n, params), 0.0, 0)
-    tau_n = optimal_ta(n, params)
-    yield ResultRow(sweep_value, "snr_opt_ta", snr_approx(tau_n, n, params), 0.0, 0)
-    outcome = joint_optimize(params)
-    yield ResultRow(sweep_value, "snr_joint", outcome.predicted_snr, 0.0, 0)
-    yield ResultRow(sweep_value, "tau_c_joint", outcome.tau_c_opt, 0.0, 0)
-    yield ResultRow(sweep_value, "k_joint", float(outcome.k_opt), 0.0, 0)
-    yield ResultRow(sweep_value, "snr_perfect", snr_perfect_csi(params), 0.0, 0)
+def _closed_form_rows(sweep_values, columns: dict[str, np.ndarray]):
+    """One list of closed-form rows per sweep point, in ``columns`` order."""
+    names = list(columns)
+    for value, point in zip(sweep_values, zip(*(c.tolist() for c in columns.values()))):
+        yield [ResultRow(value, name, x, 0.0, 0) for name, x in zip(names, point)]
+
+
+def _scheme_rows(sweep_values, grid: ParamGrid, tau_c0: float):
+    """Closed-form SNRs of the benchmark schemes, one list of rows per point."""
+    n = grid.n_antennas
+    tau_n = optimal_ta_grid(n, grid)
+    tau_c, k, snr = joint_optimize_grid(grid, tau_kn=tau_n)
+    return _closed_form_rows(sweep_values, {
+        "snr_isotropic": snr_isotropic_grid(grid),
+        "snr_fixed": snr_approx_grid(tau_c0, n, grid),
+        "snr_opt_ta": snr_approx_grid(tau_n, n, grid),
+        "snr_joint": snr,
+        "tau_c_joint": tau_c,
+        "k_joint": k.astype(float),
+        "snr_perfect": snr_perfect_csi_grid(grid),
+    })
 
 
 def _run_n_sweep(cfg: ExperimentConfig):
-    for n_val in cfg.sweep_grid:
-        n = int(n_val)
-        params = replace(cfg.params, n_antennas=n)
-        yield from _scheme_rows(n, params, cfg.pilot.ce_time)
+    counts = [int(v) for v in cfg.sweep_grid]
+    grid = ParamGrid.over_antennas(cfg.params, counts)
+    for rows in _scheme_rows(counts, grid, cfg.pilot.ce_time):
+        yield from rows
 
 
 def _run_joint(cfg: ExperimentConfig):
-    for d in cfg.sweep_grid:
-        params = replace(cfg.params, distance=d, beta=None)
-        outcome = joint_optimize(params)
-        yield ResultRow(d, "tau_c_joint", outcome.tau_c_opt, 0.0, 0)
-        yield ResultRow(d, "k_joint", float(outcome.k_opt), 0.0, 0)
-        yield ResultRow(d, "snr_joint", outcome.predicted_snr, 0.0, 0)
+    tau_c, k, snr = joint_optimize_grid(ParamGrid.over_ranges(cfg.params, cfg.sweep_grid))
+    for rows in _closed_form_rows(cfg.sweep_grid, {
+            "tau_c_joint": tau_c, "k_joint": k.astype(float), "snr_joint": snr}):
+        yield from rows
 
 
 def _run_compare(cfg: ExperimentConfig):
-    for d in cfg.sweep_grid:
-        params = replace(cfg.params, distance=d, beta=None)
-        rows = list(_scheme_rows(d, params, cfg.pilot.ce_time))
+    grid = ParamGrid.over_ranges(cfg.params, cfg.sweep_grid)
+    for rows in _scheme_rows(cfg.sweep_grid, grid, cfg.pilot.ce_time):
         yield from rows
-        perfect = snr_perfect_csi(params)
+        perfect = rows[-1].value        # _scheme_rows ends with snr_perfect
         for row in rows:
             if row.metric_name.startswith("snr_"):
-                yield ResultRow(d, f"norm_{row.metric_name[4:]}",
+                yield ResultRow(row.sweep_value, f"norm_{row.metric_name[4:]}",
                                 row.value / perfect, 0.0, 0)
 
 
 def _fmt(value: float) -> str:
     """Decimal with 12 significant digits, positional (2.1488 -> 2.14880000000)."""
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         return str(value)
     return np.format_float_positional(value, precision=12, unique=False,
                                       fractional=False, trim="k")
 
 
+_float_bits = struct.Struct("<d").pack
+
+
+class _RepeatFmt:
+    """:func:`_fmt` that reuses its last string while the value's bits repeat.
+
+    A column of sweep values or zero standard errors repeats row after row.
+    Keying on the bits keeps -0.0 apart from 0.0 and every NaN exact.
+    """
+
+    __slots__ = ("bits", "text")
+
+    def __init__(self) -> None:
+        self.bits = None
+        self.text = ""
+
+    def __call__(self, value: float) -> str:
+        bits = _float_bits(value)
+        if bits != self.bits:
+            self.bits, self.text = bits, _fmt(value)
+        return self.text
+
+
 def write_csv(rows: list[ResultRow], path: str) -> None:
     """Write rows as UTF-8 CSV with a fixed header and 12-digit values.
 
-    A temporary file beside ``path`` replaces it, so ``path`` is never partial.
+    Lines stream to a temporary file beside ``path`` that then replaces it,
+    so ``path`` is never partial.
     """
     if not rows:
         raise ValueError("refusing to write an empty result set")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"output directory does not exist: {directory!r}")
-    lines = ["sweep_value,metric,value,std_error,trials"]
-    for row in rows:
-        lines.append(",".join([
-            _fmt(row.sweep_value),
-            row.metric_name,
-            _fmt(row.value),
-            _fmt(row.std_error),
-            str(row.trials),
-        ]))
+    sweep_fmt, value_fmt, stderr_fmt = _RepeatFmt(), _RepeatFmt(), _RepeatFmt()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("sweep_value,metric,value,std_error,trials\n")
+            for row in rows:
+                fh.write(f"{sweep_fmt(row.sweep_value)},{row.metric_name},"
+                         f"{value_fmt(row.value)},{stderr_fmt(row.std_error)},"
+                         f"{row.trials}\n")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

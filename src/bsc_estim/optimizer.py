@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import SystemParams
+import numpy as np
+
+from .channel import ParamGrid, SystemParams
 from .estimators import LMMSE, LS
-from .snr import snr_approx
+from .snr import snr_approx, snr_approx_grid
 
 CORNER_K1 = "CORNER_K1"
 CORNER_KN = "CORNER_KN"
@@ -76,6 +78,58 @@ def optimal_ta(pilot_count: int, params: SystemParams,
     return 0.5 * (lo + hi)
 
 
+# Where the array derivative lies within this fraction of its two terms'
+# magnitudes of zero, its sign is taken from _snr_approx_derivative: numpy's
+# square and pow may round otherwise than libm's pow, by a few ulp.
+_SIGN_MARGIN = 1e-12
+
+
+def optimal_ta_grid(pilot_count, grid: ParamGrid,
+                    rel_tol: float = 1e-9) -> np.ndarray:
+    """:func:`optimal_ta` at every point of ``grid``, bit for bit.
+
+    ``pilot_count`` is one count for every point or one per point.  Every
+    point runs the scalar bisection's steps on its own bracket, all points
+    in one array pass; a point drops out when its bracket is narrow enough.
+    Midpoints where the derivative is too close to zero for the array
+    arithmetic to settle its sign get it from the scalar derivative.
+    """
+    p, n = grid.params, grid.n_antennas
+    k = np.broadcast_to(np.asarray(pilot_count), n.shape)
+    if not np.all((1 <= k) & (k <= n)):
+        raise ValueError("pilot_count outside [1, n_antennas]")
+    tau = p.coherence_time
+    a = (n - 1) * (n - 2)
+    b = 4.0 * (n - 1)
+    q = p.noise_var * k / (grid.beta_sq * p.tag_amp_ce ** 2 * p.tx_power)
+
+    def derivative(tau_c: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        rho = 1.0 + q[idx] / tau_c
+        f = a[idx] / rho + b[idx] / np.sqrt(rho) + 2.0
+        df = a[idx] / rho ** 2 + b[idx] / (2.0 * rho ** 1.5)
+        rise = (tau - tau_c) * (q[idx] / tau_c ** 2) * df
+        d = -f + rise
+        # not (|d| > margin), so that NaN goes to the scalar function too
+        unsure = ~(np.abs(d) > _SIGN_MARGIN * (np.abs(f) + np.abs(rise)))
+        for j in np.flatnonzero(unsure):
+            i = int(idx[j])
+            d[j] = _snr_approx_derivative(float(tau_c[j]), int(k[i]), grid.point(i))
+        return d
+
+    lo = np.full(n.shape, 1e-12 * tau)
+    hi = np.full(n.shape, (1.0 - 1e-12) * tau)
+    every = np.arange(n.size)
+    interior = ~(derivative(lo, every) <= 0)
+    live = every[interior & (hi - lo > rel_tol * tau)]
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        up = derivative(mid, live) > 0
+        lo[live[up]] = mid[up]
+        hi[live[~up]] = mid[~up]
+        live = live[hi[live] - lo[live] > rel_tol * tau]
+    return np.where(interior, 0.5 * (lo + hi), lo)
+
+
 def snr_threshold(n_antennas: int) -> float:
     """Pilot-count decision threshold (N - 1)^2 / (8 (N + 1)); increasing in N."""
     if n_antennas < 2:
@@ -125,6 +179,29 @@ def joint_optimize(params: SystemParams) -> OptimizationOutcome:
         decision_path=CORNER_K1 if k_opt == 1 else CORNER_KN,
         estimator_choice=LS,
     )
+
+
+def joint_optimize_grid(grid: ParamGrid, tau_kn: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`joint_optimize` at every point of ``grid``, bit for bit.
+
+    Returns the arrays (tau_c_opt, k_opt, predicted_snr).  ``tau_kn``, when
+    the caller has it, is ``optimal_ta_grid(n, grid)`` with n each point's
+    array size; points that pick K = N take their time from it instead of
+    bisecting again.
+    """
+    p, n = grid.params, grid.n_antennas
+    tau_c = optimal_ta_grid(1, grid)
+    gamma_e1 = (grid.beta_sq * p.tag_amp_ce ** 2
+                * p.tx_power * tau_c / p.noise_var)
+    # the snr_threshold rule, where there is a pilot count to choose
+    pick_n = (n > 1) & ~(gamma_e1 <= (n - 1) ** 2 / (8.0 * (n + 1)))
+    if tau_kn is not None:
+        tau_c[pick_n] = tau_kn[pick_n]
+    elif pick_n.any():
+        tau_c[pick_n] = optimal_ta_grid(n[pick_n], grid.take(pick_n))
+    k = np.where(pick_n, n, 1)
+    return tau_c, k, snr_approx_grid(tau_c, k, grid)
 
 
 def decide(params: SystemParams, has_prior_stats: bool) -> OptimizationOutcome:

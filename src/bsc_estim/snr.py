@@ -30,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PilotConfig, SystemParams, backscatter, build_pilots, draw_channel
+from .channel import (
+    ParamGrid,
+    PilotConfig,
+    SystemParams,
+    backscatter,
+    build_pilots,
+    draw_channel,
+)
 from .estimators import (
     LMMSE,
     LS,
@@ -104,6 +111,44 @@ def snr_approx(tau_c: float, pilot_count: int, params: SystemParams) -> float:
     shape = ((n - 1) * (n - 2) / rho + 4.0 * (n - 1) / math.sqrt(rho) + 2.0)
     return ((params.coherence_time - tau_c) * params.tx_power
             * params.tag_amp_id ** 2 * params.beta ** 2 / params.noise_var) * shape
+
+
+# Grid forms of the closed forms above: one value per point of a ParamGrid,
+# with each scalar formula's operations in the same order on beta_sq, so
+# every entry equals the scalar function at that point bit for bit.
+
+def snr_perfect_csi_grid(grid: ParamGrid) -> np.ndarray:
+    """:func:`snr_perfect_csi` at every point of ``grid``."""
+    p, n = grid.params, grid.n_antennas
+    return (p.coherence_time * p.tx_power * p.tag_amp_id ** 2
+            * n * (n + 1) * grid.beta_sq / p.noise_var)
+
+
+def snr_isotropic_grid(grid: ParamGrid) -> np.ndarray:
+    """:func:`snr_isotropic` at every point of ``grid``."""
+    p = grid.params
+    return (2.0 * p.coherence_time * p.tx_power
+            * p.tag_amp_id ** 2 * grid.beta_sq / p.noise_var)
+
+
+def snr_approx_grid(tau_c, pilot_count, grid: ParamGrid) -> np.ndarray:
+    """:func:`snr_approx` at every point of ``grid``.
+
+    ``tau_c`` and ``pilot_count`` are one value for every point or one per
+    point.
+    """
+    p, n = grid.params, grid.n_antennas
+    tau_c = np.broadcast_to(np.asarray(tau_c, dtype=float), n.shape)
+    k = np.broadcast_to(np.asarray(pilot_count), n.shape)
+    if not np.all((0 < tau_c) & (tau_c < p.coherence_time)):
+        raise ValueError(f"tau_c outside (0, {p.coherence_time})")
+    if not np.all((1 <= k) & (k <= n)):
+        raise ValueError("pilot_count outside [1, n_antennas]")
+    rho = 1.0 + (p.noise_var * k
+                 / (grid.beta_sq * p.tag_amp_ce ** 2 * p.tx_power * tau_c))
+    shape = ((n - 1) * (n - 2) / rho + 4.0 * (n - 1) / np.sqrt(rho) + 2.0)
+    return ((p.coherence_time - tau_c) * p.tx_power
+            * p.tag_amp_id ** 2 * grid.beta_sq / p.noise_var) * shape
 
 
 def approx_moments(flavor: str, cfg: PilotConfig, params: SystemParams,

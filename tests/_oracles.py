@@ -5,11 +5,15 @@ calling the code under test: multi-start descent for the rank-one fitting
 problem, a spectral closed form for the linear MMSE filter under orthogonal
 pilots, the beams of the two pilot-count corners, the one-draw decoding SNR,
 DFT pilots, and plain-grid maximizers.
-The one exception is :func:`refine_reference`, a frozen copy of the
-estimator's Newton refinement kept for bitwise regression checks.
+The exceptions are frozen copies kept for bitwise regression checks:
+:func:`refine_reference`, the estimator's Newton refinement, and
+:func:`optimal_ta_reference` / :func:`joint_design_reference`, the scalar
+training-time bisection and pilot-count rule.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -211,3 +215,46 @@ def refine_reference(h_hat_matrix: np.ndarray, h0: np.ndarray, k: int,
         if not stepped:
             break
     return h
+
+
+def _snr_approx_derivative_reference(tau_c: float, pilot_count: int, params) -> float:
+    n = params.n_antennas
+    a = (n - 1) * (n - 2)
+    b = 4.0 * (n - 1)
+    q = (params.noise_var * pilot_count
+         / (params.beta ** 2 * params.tag_amp_ce ** 2 * params.tx_power))
+    rho = 1.0 + q / tau_c
+    f = a / rho + b / math.sqrt(rho) + 2.0
+    df = a / rho ** 2 + b / (2.0 * rho ** 1.5)
+    return -f + (params.coherence_time - tau_c) * (q / tau_c ** 2) * df
+
+
+def optimal_ta_reference(pilot_count: int, params, rel_tol: float = 1e-9) -> float:
+    """Frozen copy of the scalar ``optimizer.optimal_ta`` bisection, one point
+    at a time with Python floats; the array version must match it bit for bit."""
+    tau = params.coherence_time
+    lo, hi = 1e-12 * tau, (1.0 - 1e-12) * tau
+    if _snr_approx_derivative_reference(lo, pilot_count, params) <= 0:
+        return lo
+    while hi - lo > rel_tol * tau:
+        mid = 0.5 * (lo + hi)
+        if _snr_approx_derivative_reference(mid, pilot_count, params) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def joint_design_reference(params) -> tuple[float, int]:
+    """Frozen copy of the scalar ``optimizer.joint_optimize`` rule: the
+    single-pilot optimal time's training SNR against (N-1)^2 / (8(N+1))
+    picks K = 1 or K = N.  Returns (tau_c, K)."""
+    n = params.n_antennas
+    tau_c1 = optimal_ta_reference(1, params)
+    if n == 1:
+        return tau_c1, 1
+    gamma_e1 = (params.beta ** 2 * params.tag_amp_ce ** 2
+                * params.tx_power * tau_c1 / params.noise_var)
+    if gamma_e1 <= (n - 1) ** 2 / (8.0 * (n + 1)):
+        return tau_c1, 1
+    return optimal_ta_reference(n, params), n

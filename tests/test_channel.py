@@ -38,6 +38,18 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             path_loss_beta(f, d, rho)
 
+    @pytest.mark.parametrize("f,d,rho", [
+        (915e6, 1e-300, 2.5),   # d ** rho underflows to zero
+        (915e6, 1e300, 2.5),    # d ** rho overflows
+        (915e6, 1e-130, 2.5),   # the quotient overflows
+        (1e200, 100.0, 2.5),    # (c / 4 pi f) ** 2 underflows
+        (1e-200, 100.0, 2.5),   # (c / 4 pi f) ** 2 overflows
+        (float("nan"), 100.0, 2.5),
+    ])
+    def test_rejects_gain_outside_float_range(self, f, d, rho):
+        with pytest.raises(ValueError, match="positive finite"):
+            path_loss_beta(f, d, rho)
+
 
 class TestSystemParams:
     def test_beta_derived_when_absent(self):
@@ -51,6 +63,8 @@ class TestSystemParams:
     def test_invalid_fields(self):
         with pytest.raises(ValueError):
             make_params(n_antennas=0)
+        with pytest.raises(ValueError, match="n_antennas"):
+            make_params(n_antennas=2 ** 31)
         with pytest.raises(ValueError):
             make_params(tag_amp_ce=1.5)
         with pytest.raises(ValueError):

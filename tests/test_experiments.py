@@ -108,6 +108,25 @@ class TestWriteCsv:
         value = open(path, encoding="utf-8").read().split("\n")[1].split(",")[2]
         assert float(value) == pytest.approx(6.807389387418555e-9, rel=1e-11)
 
+    def test_repeated_values_write_exactly_as_fmt(self, tmp_path):
+        # each column's last string is reused only for the same bits, so
+        # -0.0 after 0.0, NaN and +-inf come out as _fmt writes them alone
+        values = [0.0, 0.0, -0.0, -0.0, 0.0, float("nan"), float("nan"),
+                  np.float64("nan"), float("inf"), float("inf"), -np.inf,
+                  -np.inf, 2.5, np.float64(2.5), 2.5 + 2 ** -51, 3, 3.0]
+        rows = [ResultRow(v, "m", values[-1 - i], v, i)
+                for i, v in enumerate(values)]
+        path = tmp_path / "out.csv"
+        write_csv(rows, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert lines == [f"{experiments._fmt(r.sweep_value)},m,"
+                         f"{experiments._fmt(r.value)},"
+                         f"{experiments._fmt(r.std_error)},{r.trials}"
+                         for r in rows]
+        assert lines[2].startswith("-0.00000000000,") and lines[4].startswith("0.0")
+        assert [ln.split(",")[0] for ln in lines[5:12]] == (
+            ["nan"] * 3 + ["inf"] * 2 + ["-inf"] * 2)
+
     def test_missing_directory_named(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no/such"):
             write_csv([ResultRow(0, "x", 1.0, 0.0, 1)],
@@ -270,8 +289,11 @@ class TestRunExperiment:
 class TestGoldenCsv:
     # Frozen CSV bytes; a change that moves them on purpose re-records the
     # fixture and says why.  k_sweep_n8 covers K = 1, mid-K refinement and
-    # K = N for both estimators.
-    @pytest.mark.parametrize("name", ["c11_snr_sweep", "k_sweep_n8"])
+    # K = N for both estimators; compare_ranges, joint_n8 and n_sweep cover
+    # both pilot-count corners of the closed-form design sweeps.
+    @pytest.mark.parametrize("name", ["c11_snr_sweep", "k_sweep_n8",
+                                      "compare_ranges", "joint_n8", "n_sweep",
+                                      "tau_sweep_n4"])
     def test_cli_reproduces_fixture(self, tmp_path, name):
         out = tmp_path / f"{name}.csv"
         rc = cli.main(["run", "--config", str(DATA / f"{name}.cfg"),
@@ -364,7 +386,7 @@ class TestCli:
     @pytest.mark.parametrize("line", [
         "noise_var = nan", "distance = inf", "beta = inf", "ce_time = nan",
         # the derived path-loss gain overflows or underflows to zero
-        "distance = 1e300", "carrier_freq = 1e200",
+        "distance = 1e300", "carrier_freq = 1e200", "distance = 1e-300",
     ])
     def test_non_finite_input_fails_at_load(self, tmp_path, line):
         res = run_cli("optimize", "--config", _write(tmp_path, line + "\n"))
@@ -384,9 +406,15 @@ class TestCli:
         "n_antennas = 4\nsweep = K_SWEEP\nsweep_grid = 0.4, 1.2\n",
         "n_antennas = 4\nsweep = K_SWEEP\nsweep_grid = 1.2, 1.4\n",
         "sweep = N_SWEEP\nsweep_grid = 0.2, 2\n",
+        "sweep = N_SWEEP\nsweep_grid = 2, 3e9\n",
         "sweep = TAU_SWEEP\nsweep_grid = -1e-4, 1e-4\n",
         "sweep = COMPARE\nsweep_grid = -5, 60\n",
         "sweep = JOINT\nsweep_grid = 0, 60\n",
+        # ranges whose path-loss gain underflows to zero or overflows
+        "sweep = COMPARE\nsweep_grid = 60, 1e300\n",
+        "sweep = COMPARE\nsweep_grid = 1e-300, 60\n",
+        "sweep = JOINT\nsweep_grid = 60, 1e300\n",
+        "sweep = JOINT\nsweep_grid = 1e-130, 60\n",
     ])
     def test_grid_outside_sweep_domain_fails_at_load(self, tmp_path, capsys, body):
         cfg = _write(tmp_path, "trials = 3\nestimator = LS\n" + body)

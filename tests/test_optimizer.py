@@ -11,9 +11,18 @@ from bsc_estim import (
     snr_approx,
     snr_threshold,
 )
-from bsc_estim.optimizer import CORNER_K1, CORNER_KN, ce_snr_at_k1_optimum
+from bsc_estim import optimizer, path_loss_beta, snr_isotropic, snr_perfect_csi
+from bsc_estim.channel import ParamGrid
+from bsc_estim.optimizer import (
+    CORNER_K1,
+    CORNER_KN,
+    ce_snr_at_k1_optimum,
+    joint_optimize_grid,
+    optimal_ta_grid,
+)
+from bsc_estim.snr import snr_approx_grid, snr_isotropic_grid, snr_perfect_csi_grid
 from conftest import make_params
-from _oracles import grid_argmax
+from _oracles import grid_argmax, joint_design_reference, optimal_ta_reference
 
 
 def _params_for_gamma_e1(gamma_e1_db: float, n_antennas: int):
@@ -220,3 +229,75 @@ class TestDecide:
         p = make_params()
         out = decide(p, False)
         assert out.predicted_snr >= snr_approx(1e-4, 20, p)
+
+
+def _range_by_size_grid(ranges, sizes) -> ParamGrid:
+    """Every (range, N) pair at the reference setup, ranges outermost."""
+    base = make_params()
+    beta = [path_loss_beta(base.carrier_freq, d, base.pathloss_exp) for d in ranges]
+    return ParamGrid(base, [b for b in beta for _ in sizes],
+                     [n for _ in beta for n in sizes])
+
+
+def _grid_vs_scalar_mismatches(grid: ParamGrid, tau_c0: float = 1e-4) -> list[int]:
+    """Points where a grid function's float.hex differs from the scalar one's."""
+    n = grid.n_antennas
+    tau_1 = optimal_ta_grid(1, grid)
+    tau_n = optimal_ta_grid(n, grid)
+    columns = [tau_1, tau_n]
+    for tau_c, k, snr in (joint_optimize_grid(grid, tau_kn=tau_n), joint_optimize_grid(grid)):
+        columns += [tau_c, k.astype(float), snr]
+    columns += [snr_approx_grid(tau_c0, n, grid), snr_approx_grid(tau_n, n, grid),
+                snr_isotropic_grid(grid), snr_perfect_csi_grid(grid)]
+    rows = zip(*(c.tolist() for c in columns))
+    bad = []
+    for i, got in enumerate(rows):
+        p = grid.point(i)
+        ref_1 = optimal_ta_reference(1, p)
+        ref_n = optimal_ta_reference(p.n_antennas, p)
+        tau_j, k_j = joint_design_reference(p)
+        design = [tau_j, float(k_j), snr_approx(tau_j, k_j, p)]
+        want = [ref_1, ref_n, *design, *design,
+                snr_approx(tau_c0, p.n_antennas, p), snr_approx(ref_n, p.n_antennas, p),
+                snr_isotropic(p), snr_perfect_csi(p)]
+        if [x.hex() for x in got] != [x.hex() for x in want]:
+            bad.append(i)
+    return bad
+
+
+class TestGridMatchesScalar:
+    """The array-pass forms used by the design sweeps reproduce the scalar
+    bisection (frozen in ``_oracles``) and closed forms bit for bit."""
+
+    def test_bitwise_over_ranges_and_array_sizes(self):
+        # 90 ranges from 1 m to 2 km times N = 1..128: 11 520 points, both
+        # pilot-count corners, and training times pinned at the lower end
+        grid = _range_by_size_grid(np.geomspace(1.0, 2000.0, 90).tolist(),
+                                   range(1, 129))
+        assert grid.n_antennas.size >= 10_000
+        assert _grid_vs_scalar_mismatches(grid) == []
+
+    def test_bitwise_with_every_sign_from_the_scalar_arbiter(self, monkeypatch):
+        calls = []
+        scalar = optimizer._snr_approx_derivative
+        monkeypatch.setattr(optimizer, "_SIGN_MARGIN", np.inf)
+        monkeypatch.setattr(optimizer, "_snr_approx_derivative",
+                            lambda *a: calls.append(a) or scalar(*a))
+        grid = _range_by_size_grid([1.0, 30.0, 75.0, 76.0, 250.0, 2000.0],
+                                   [1, 2, 3, 8, 20, 64, 128])
+        assert _grid_vs_scalar_mismatches(grid) == []
+        # every bisection step of every point went through the arbiter
+        assert len(calls) > 30 * grid.n_antennas.size
+        # and the package's scalar functions still match their frozen copies
+        for i in range(grid.n_antennas.size):
+            p = grid.point(i)
+            design = joint_optimize(p)
+            assert optimal_ta(1, p).hex() == optimal_ta_reference(1, p).hex()
+            assert (design.tau_c_opt, design.k_opt) == joint_design_reference(p)
+
+    def test_rejects_bad_pilot_count_and_training_time(self):
+        grid = _range_by_size_grid([100.0], [4])
+        with pytest.raises(ValueError, match="pilot_count"):
+            optimal_ta_grid(5, grid)
+        with pytest.raises(ValueError, match="tau_c"):
+            snr_approx_grid(1e-3, 1, grid)
