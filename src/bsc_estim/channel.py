@@ -10,6 +10,7 @@ rank-one cascaded channel through the backscattered pilot block.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,10 +18,10 @@ import numpy as np
 # Nominal propagation speed used by the link-budget convention (not CODATA c).
 SPEED_OF_LIGHT = 3.0e8
 
-# Largest array size: below 2**31, integer products such as (N-1)(N-2) are
-# exact in int64, so the array forms of the closed forms round as the
-# scalar ones do.
-MAX_ANTENNAS = 2 ** 31 - 1
+# Largest array size of a ParamGrid point: up to it, (N - 1)**2 and
+# (N - 1)(N - 2) are exact in int64, as they are in the scalar forms'
+# Python ints, so the array forms round as the scalar ones do.
+MAX_GRID_ANTENNAS = math.isqrt(2 ** 63 - 1) + 1
 
 
 def path_loss_beta(freq_hz: float, distance_m: float, exponent: float) -> float:
@@ -70,9 +71,8 @@ class SystemParams:
     beta: float | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_antennas <= MAX_ANTENNAS:
-            raise ValueError(
-                f"n_antennas must lie in [1, {MAX_ANTENNAS}], got {self.n_antennas}")
+        if self.n_antennas < 1:
+            raise ValueError(f"n_antennas must be >= 1, got {self.n_antennas}")
         for name in ("coherence_time", "sample_len", "tx_power", "noise_var",
                      "carrier_freq", "distance", "pathloss_exp"):
             if not 0 < getattr(self, name) < math.inf:
@@ -89,30 +89,48 @@ class SystemParams:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
 
+def gain_squared(beta: float) -> float:
+    """``beta ** 2`` as the scalar formulas square it.
+
+    Raises ValueError unless it is a positive normal float: a square that
+    underflows leaves the training SNR terms dividing by zero or by a
+    subnormal, and one that overflows leaves them infinite.
+    """
+    try:
+        sq = beta ** 2
+    except OverflowError:
+        sq = math.inf
+    if not (beta > 0 and sys.float_info.min <= sq < math.inf):
+        raise ValueError(f"beta ** 2 is not a positive normal float for beta={beta}")
+    return sq
+
+
 class ParamGrid:
     """Sweep points that share one :class:`SystemParams` except for the
     path-loss gain or the array size.
 
-    Point i is ``params`` with ``beta[i]`` and ``n_antennas[i]``.
-    ``beta_sq[i]`` is ``beta[i] ** 2`` evaluated on a Python float, as the
-    scalar formulas square ``params.beta``, so array formulas built on it
-    round exactly as the scalar ones do.
+    Point i is ``params`` with ``beta[i]`` and ``n_antennas[i]``, where
+    n_antennas[i] <= MAX_GRID_ANTENNAS and ``beta_sq[i]``, the
+    :func:`gain_squared` of ``beta[i]``, is a positive normal float.  Array
+    formulas built on ``beta_sq`` round exactly as the scalar ones do.
     """
 
     def __init__(self, params: SystemParams, beta, n_antennas) -> None:
         beta = np.asarray(beta, dtype=float)
-        n = np.asarray(n_antennas, dtype=np.int64)
-        if beta.ndim != 1 or beta.shape != n.shape:
+        try:
+            n = np.asarray(n_antennas, dtype=np.int64)
+        except OverflowError:
+            n = np.array([-1])
+        if n.ndim != 1 or np.any((n < 1) | (n > MAX_GRID_ANTENNAS)):
+            raise ValueError(
+                f"every n_antennas must lie in [1, {MAX_GRID_ANTENNAS}]")
+        if beta.shape != n.shape:
             raise ValueError(f"beta {beta.shape} and n_antennas {n.shape} "
                              "must be vectors of one length")
-        if (not np.all((beta > 0) & (beta < math.inf))
-                or np.any((n < 1) | (n > MAX_ANTENNAS))):
-            raise ValueError("every beta must be positive and finite and "
-                             f"every n_antennas in [1, {MAX_ANTENNAS}]")
         self.params = params
         self.beta = beta                                  # float (P,)
         self.n_antennas = n                               # int (P,)
-        self.beta_sq = np.array([b ** 2 for b in beta.tolist()])
+        self.beta_sq = np.array([gain_squared(b) for b in beta.tolist()])
 
     @classmethod
     def over_ranges(cls, params: SystemParams, distances) -> "ParamGrid":

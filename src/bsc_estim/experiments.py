@@ -39,10 +39,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import (
-    MAX_ANTENNAS,
+    MAX_GRID_ANTENNAS,
     ParamGrid,
     PilotConfig,
     SystemParams,
+    gain_squared,
     path_loss_beta,
     quantize_ce_time,
 )
@@ -247,25 +248,36 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _check_grid(sweep: str, grid: list[float], params: SystemParams) -> None:
-    """Reject grid values the sweep kind cannot run, before any point runs."""
+    """Reject grid values the sweep kind cannot run, before any point runs.
+
+    The closed-form design sweeps evaluate their whole grid before the first
+    row, so everything their ParamGrid would reject is rejected here.
+    """
     n_antennas = params.n_antennas
     if sweep == "K_SWEEP":
         bad = [v for v in grid if not (v.is_integer() and 1 <= v <= n_antennas)]
         want = f"integer pilot counts in [1, n_antennas={n_antennas}]"
     elif sweep == "N_SWEEP":
-        bad = [v for v in grid if not (v.is_integer() and 1 <= v <= MAX_ANTENNAS)]
-        want = f"integer antenna counts in [1, {MAX_ANTENNAS}]"
+        try:
+            gain_squared(params.beta)
+        except ValueError as exc:
+            raise ConfigError(f"N_SWEEP: {exc}") from None
+        bad = [v for v in grid if not (v.is_integer() and 1 <= v <= MAX_GRID_ANTENNAS)]
+        want = f"integer antenna counts in [1, {MAX_GRID_ANTENNAS}]"
     elif sweep == "TAU_SWEEP":
         bad = [v for v in grid if v <= 0]
         want = "positive"
     elif sweep in ("JOINT", "COMPARE"):
+        if n_antennas > MAX_GRID_ANTENNAS:
+            raise ConfigError(f"{sweep} takes n_antennas <= {MAX_GRID_ANTENNAS}, "
+                              f"got {n_antennas}")
         bad = []
         for v in grid:
             try:
-                path_loss_beta(params.carrier_freq, v, params.pathloss_exp)
+                gain_squared(path_loss_beta(params.carrier_freq, v, params.pathloss_exp))
             except ValueError:
                 bad.append(v)
-        want = "positive ranges with a path-loss gain inside the float range"
+        want = "positive ranges whose path-loss gain squared is a positive normal float"
     else:
         return
     if bad:
@@ -401,7 +413,7 @@ def _scheme_rows(sweep_values, grid: ParamGrid, tau_c0: float):
     """Closed-form SNRs of the benchmark schemes, one list of rows per point."""
     n = grid.n_antennas
     tau_n = optimal_ta_grid(n, grid)
-    tau_c, k, snr = joint_optimize_grid(grid, tau_kn=tau_n)
+    tau_c, k, snr = joint_optimize_grid(grid)
     return _closed_form_rows(sweep_values, {
         "snr_isotropic": snr_isotropic_grid(grid),
         "snr_fixed": snr_approx_grid(tau_c0, n, grid),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ParamGrid, SystemParams
 from .estimators import LMMSE, LS
-from .snr import snr_approx, snr_approx_grid
+from .snr import snr_approx_grid
 
 CORNER_K1 = "CORNER_K1"
 CORNER_KN = "CORNER_KN"
@@ -54,28 +54,19 @@ def _snr_approx_derivative(tau_c: float, pilot_count: int,
     return -f + (params.coherence_time - tau_c) * (q / tau_c ** 2) * df
 
 
-def optimal_ta(pilot_count: int, params: SystemParams,
-               rel_tol: float = 1e-9) -> float:
+def _one_point(params: SystemParams) -> ParamGrid:
+    return ParamGrid(params, [params.beta], [params.n_antennas])
+
+
+def optimal_ta(pilot_count: int, params: SystemParams) -> float:
     """Training time maximizing the approximate SNR for a given pilot count.
 
     The SNR vanishes at both ends of (0, tau) and is concave in between, so
     its derivative changes sign exactly once; plain bisection on the sign
-    converges to the interior maximizer.
+    converges to the interior maximizer.  This is :func:`optimal_ta_grid`
+    at one point.
     """
-    if not 1 <= pilot_count <= params.n_antennas:
-        raise ValueError(
-            f"pilot_count={pilot_count} outside [1, {params.n_antennas}]")
-    tau = params.coherence_time
-    lo, hi = 1e-12 * tau, (1.0 - 1e-12) * tau
-    if _snr_approx_derivative(lo, pilot_count, params) <= 0:
-        return lo
-    while hi - lo > rel_tol * tau:
-        mid = 0.5 * (lo + hi)
-        if _snr_approx_derivative(mid, pilot_count, params) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(optimal_ta_grid(pilot_count, _one_point(params))[0])
 
 
 # Where the array derivative lies within this fraction of its two terms'
@@ -84,13 +75,13 @@ def optimal_ta(pilot_count: int, params: SystemParams,
 _SIGN_MARGIN = 1e-12
 
 
-def optimal_ta_grid(pilot_count, grid: ParamGrid,
-                    rel_tol: float = 1e-9) -> np.ndarray:
-    """:func:`optimal_ta` at every point of ``grid``, bit for bit.
+def optimal_ta_grid(pilot_count, grid: ParamGrid) -> np.ndarray:
+    """:func:`optimal_ta` at every point of ``grid``.
 
     ``pilot_count`` is one count for every point or one per point.  Every
-    point runs the scalar bisection's steps on its own bracket, all points
-    in one array pass; a point drops out when its bracket is narrow enough.
+    point bisects on its own bracket, from (1e-12, 1 - 1e-12) tau down to a
+    width of 1e-9 tau, all points in one array pass; a point drops out when
+    its bracket is narrow enough.
     Midpoints where the derivative is too close to zero for the array
     arithmetic to settle its sign get it from the scalar derivative.
     """
@@ -120,13 +111,13 @@ def optimal_ta_grid(pilot_count, grid: ParamGrid,
     hi = np.full(n.shape, (1.0 - 1e-12) * tau)
     every = np.arange(n.size)
     interior = ~(derivative(lo, every) <= 0)
-    live = every[interior & (hi - lo > rel_tol * tau)]
+    live = every[interior & (hi - lo > 1e-9 * tau)]
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
         up = derivative(mid, live) > 0
         lo[live[up]] = mid[up]
         hi[live[~up]] = mid[~up]
-        live = live[hi[live] - lo[live] > rel_tol * tau]
+        live = live[hi[live] - lo[live] > 1e-9 * tau]
     return np.where(interior, 0.5 * (lo + hi), lo)
 
 
@@ -158,37 +149,24 @@ def joint_optimize(params: SystemParams) -> OptimizationOutcome:
 
     Evaluates the single-pilot optimal time first; the training SNR it
     affords decides the pilot-count corner, and the time allocation is then
-    re-optimized at that corner.
+    re-optimized at that corner.  This is :func:`joint_optimize_grid` at one
+    point.
     """
-    n = params.n_antennas
-    tau_c1 = optimal_ta(1, params)
-    if n == 1:
-        k_opt, tau_c_opt = 1, tau_c1
-    else:
-        gamma_e1 = (params.beta ** 2 * params.tag_amp_ce ** 2
-                    * params.tx_power * tau_c1 / params.noise_var)
-        if gamma_e1 <= snr_threshold(n):
-            k_opt, tau_c_opt = 1, tau_c1
-        else:
-            k_opt, tau_c_opt = n, optimal_ta(n, params)
-    predicted = snr_approx(tau_c_opt, k_opt, params)
+    tau_c, k, snr = joint_optimize_grid(_one_point(params))
+    k_opt = int(k[0])
     return OptimizationOutcome(
-        tau_c_opt=tau_c_opt,
+        tau_c_opt=float(tau_c[0]),
         k_opt=k_opt,
-        predicted_snr=predicted,
+        predicted_snr=float(snr[0]),
         decision_path=CORNER_K1 if k_opt == 1 else CORNER_KN,
         estimator_choice=LS,
     )
 
 
-def joint_optimize_grid(grid: ParamGrid, tau_kn: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`joint_optimize` at every point of ``grid``, bit for bit.
+def joint_optimize_grid(grid: ParamGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`joint_optimize` at every point of ``grid``.
 
-    Returns the arrays (tau_c_opt, k_opt, predicted_snr).  ``tau_kn``, when
-    the caller has it, is ``optimal_ta_grid(n, grid)`` with n each point's
-    array size; points that pick K = N take their time from it instead of
-    bisecting again.
+    Returns the arrays (tau_c_opt, k_opt, predicted_snr).
     """
     p, n = grid.params, grid.n_antennas
     tau_c = optimal_ta_grid(1, grid)
@@ -196,9 +174,7 @@ def joint_optimize_grid(grid: ParamGrid, tau_kn: np.ndarray | None = None
                 * p.tx_power * tau_c / p.noise_var)
     # the snr_threshold rule, where there is a pilot count to choose
     pick_n = (n > 1) & ~(gamma_e1 <= (n - 1) ** 2 / (8.0 * (n + 1)))
-    if tau_kn is not None:
-        tau_c[pick_n] = tau_kn[pick_n]
-    elif pick_n.any():
+    if pick_n.any():
         tau_c[pick_n] = optimal_ta_grid(n[pick_n], grid.take(pick_n))
     k = np.where(pick_n, n, 1)
     return tau_c, k, snr_approx_grid(tau_c, k, grid)

@@ -229,14 +229,14 @@ def _snr_approx_derivative_reference(tau_c: float, pilot_count: int, params) -> 
     return -f + (params.coherence_time - tau_c) * (q / tau_c ** 2) * df
 
 
-def optimal_ta_reference(pilot_count: int, params, rel_tol: float = 1e-9) -> float:
-    """Frozen copy of the scalar ``optimizer.optimal_ta`` bisection, one point
+def optimal_ta_reference(pilot_count: int, params) -> float:
+    """Frozen scalar form of the ``optimizer.optimal_ta`` bisection, one point
     at a time with Python floats; the array version must match it bit for bit."""
     tau = params.coherence_time
     lo, hi = 1e-12 * tau, (1.0 - 1e-12) * tau
     if _snr_approx_derivative_reference(lo, pilot_count, params) <= 0:
         return lo
-    while hi - lo > rel_tol * tau:
+    while hi - lo > 1e-9 * tau:
         mid = 0.5 * (lo + hi)
         if _snr_approx_derivative_reference(mid, pilot_count, params) > 0:
             lo = mid
@@ -246,7 +246,7 @@ def optimal_ta_reference(pilot_count: int, params, rel_tol: float = 1e-9) -> flo
 
 
 def joint_design_reference(params) -> tuple[float, int]:
-    """Frozen copy of the scalar ``optimizer.joint_optimize`` rule: the
+    """Frozen scalar form of the ``optimizer.joint_optimize`` rule: the
     single-pilot optimal time's training SNR against (N-1)^2 / (8(N+1))
     picks K = 1 or K = N.  Returns (tau_c, K)."""
     n = params.n_antennas

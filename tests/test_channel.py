@@ -10,6 +10,7 @@ from bsc_estim import (
     path_loss_beta,
     quantize_ce_time,
 )
+from bsc_estim.channel import MAX_GRID_ANTENNAS, ParamGrid, gain_squared
 from conftest import make_params
 from _oracles import dft_pilots
 
@@ -51,6 +52,31 @@ class TestPathLoss:
             path_loss_beta(f, d, rho)
 
 
+class TestParamGrid:
+    def test_antenna_cap_keeps_int64_products_exact(self):
+        n = MAX_GRID_ANTENNAS
+        assert (n - 1) ** 2 <= np.iinfo(np.int64).max < n ** 2
+        base = make_params()
+        assert ParamGrid(base, [1e-8], [n]).n_antennas.tolist() == [n]
+        for bad in (0, n + 1, 2 ** 64):
+            with pytest.raises(ValueError, match="n_antennas"):
+                ParamGrid(base, [1e-8], [bad])
+        # the scalar parameters take any array size
+        assert make_params(n_antennas=n + 1).n_antennas == n + 1
+
+    @pytest.mark.parametrize("beta", [1e-200, 1.4e-154, 1.4e154, -1e-8, float("nan")])
+    def test_rejects_gain_whose_square_is_not_normal(self, beta):
+        with pytest.raises(ValueError, match="positive normal"):
+            gain_squared(beta)
+        with pytest.raises(ValueError, match="positive normal"):
+            ParamGrid(make_params(), [1e-8, beta], [4, 4])
+
+    def test_squares_as_the_scalar_formulas(self):
+        beta = [path_loss_beta(915e6, d, 2.5) for d in (1.0, 100.0, 1e60)]
+        grid = ParamGrid(make_params(), beta, [4, 4, 4])
+        assert [b.hex() for b in grid.beta_sq.tolist()] == [(b ** 2).hex() for b in beta]
+
+
 class TestSystemParams:
     def test_beta_derived_when_absent(self):
         p = make_params()
@@ -63,8 +89,6 @@ class TestSystemParams:
     def test_invalid_fields(self):
         with pytest.raises(ValueError):
             make_params(n_antennas=0)
-        with pytest.raises(ValueError, match="n_antennas"):
-            make_params(n_antennas=2 ** 31)
         with pytest.raises(ValueError):
             make_params(tag_amp_ce=1.5)
         with pytest.raises(ValueError):

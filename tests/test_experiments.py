@@ -406,7 +406,6 @@ class TestCli:
         "n_antennas = 4\nsweep = K_SWEEP\nsweep_grid = 0.4, 1.2\n",
         "n_antennas = 4\nsweep = K_SWEEP\nsweep_grid = 1.2, 1.4\n",
         "sweep = N_SWEEP\nsweep_grid = 0.2, 2\n",
-        "sweep = N_SWEEP\nsweep_grid = 2, 3e9\n",
         "sweep = TAU_SWEEP\nsweep_grid = -1e-4, 1e-4\n",
         "sweep = COMPARE\nsweep_grid = -5, 60\n",
         "sweep = JOINT\nsweep_grid = 0, 60\n",
@@ -415,6 +414,13 @@ class TestCli:
         "sweep = COMPARE\nsweep_grid = 1e-300, 60\n",
         "sweep = JOINT\nsweep_grid = 60, 1e300\n",
         "sweep = JOINT\nsweep_grid = 1e-130, 60\n",
+        # past the largest N whose (N - 1)**2 is exact in int64
+        "sweep = N_SWEEP\nsweep_grid = 2, 4e9\n",
+        "n_antennas = 4000000000\nsweep = COMPARE\nsweep_grid = 60\n",
+        # a gain whose square underflows: beta = 1e-200 at 1e79 m
+        "beta = 1e-200\nsweep = N_SWEEP\nsweep_grid = 2, 4\n",
+        "sweep = COMPARE\nsweep_grid = 60, 1e79\n",
+        "sweep = JOINT\nsweep_grid = 60, 1e79\n",
     ])
     def test_grid_outside_sweep_domain_fails_at_load(self, tmp_path, capsys, body):
         cfg = _write(tmp_path, "trials = 3\nestimator = LS\n" + body)

@@ -245,8 +245,8 @@ def _grid_vs_scalar_mismatches(grid: ParamGrid, tau_c0: float = 1e-4) -> list[in
     tau_1 = optimal_ta_grid(1, grid)
     tau_n = optimal_ta_grid(n, grid)
     columns = [tau_1, tau_n]
-    for tau_c, k, snr in (joint_optimize_grid(grid, tau_kn=tau_n), joint_optimize_grid(grid)):
-        columns += [tau_c, k.astype(float), snr]
+    tau_c, k, snr = joint_optimize_grid(grid)
+    columns += [tau_c, k.astype(float), snr]
     columns += [snr_approx_grid(tau_c0, n, grid), snr_approx_grid(tau_n, n, grid),
                 snr_isotropic_grid(grid), snr_perfect_csi_grid(grid)]
     rows = zip(*(c.tolist() for c in columns))
@@ -257,7 +257,7 @@ def _grid_vs_scalar_mismatches(grid: ParamGrid, tau_c0: float = 1e-4) -> list[in
         ref_n = optimal_ta_reference(p.n_antennas, p)
         tau_j, k_j = joint_design_reference(p)
         design = [tau_j, float(k_j), snr_approx(tau_j, k_j, p)]
-        want = [ref_1, ref_n, *design, *design,
+        want = [ref_1, ref_n, *design,
                 snr_approx(tau_c0, p.n_antennas, p), snr_approx(ref_n, p.n_antennas, p),
                 snr_isotropic(p), snr_perfect_csi(p)]
         if [x.hex() for x in got] != [x.hex() for x in want]:
