@@ -19,8 +19,6 @@ from .estimators import (
     VectorEstimate,
     lmmse_matrix,
     ls_matrix,
-    mrc_combiner,
-    mrt_precoder,
     vector_estimate,
 )
 from .optimizer import (
@@ -41,7 +39,6 @@ from .snr import (
     snr_isotropic,
     snr_perfect_csi,
 )
-from .transforms import RealifiedSystem, build_realified, phi, sym
 
 __version__ = "0.1.0"
 
@@ -53,7 +50,6 @@ __all__ = [
     "McEstimate",
     "OptimizationOutcome",
     "PilotConfig",
-    "RealifiedSystem",
     "ReceivedSignal",
     "RicianMoments",
     "SystemParams",
@@ -61,7 +57,6 @@ __all__ = [
     "approx_moments",
     "backscatter",
     "build_pilots",
-    "build_realified",
     "ce_snr",
     "decide",
     "draw_channel",
@@ -69,18 +64,14 @@ __all__ = [
     "lmmse_matrix",
     "ls_matrix",
     "mc_metrics",
-    "mrc_combiner",
-    "mrt_precoder",
     "optimal_pc",
     "optimal_ta",
     "path_loss_beta",
-    "phi",
     "quantize_ce_time",
     "snr_approx",
     "snr_isotropic",
     "snr_perfect_csi",
     "snr_threshold",
-    "sym",
     "vector_estimate",
     "__version__",
 ]

@@ -56,6 +56,10 @@ class SystemParams:
     carrier frequency, range and path-loss exponent.  Times are in seconds,
     powers in watts and the noise variance in joules, so products such as
     ``tx_power * coherence_time / noise_var`` are dimensionless.
+
+    Every float field must be a positive normal float, and so must
+    ``beta ** 2`` (:func:`gain_squared`): a subnormal noise level or gain
+    square leaves the SNR formulas that divide by it infinite.
     """
 
     n_antennas: int
@@ -75,18 +79,17 @@ class SystemParams:
             raise ValueError(f"n_antennas must be >= 1, got {self.n_antennas}")
         for name in ("coherence_time", "sample_len", "tx_power", "noise_var",
                      "carrier_freq", "distance", "pathloss_exp"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not sys.float_info.min <= getattr(self, name) < math.inf:
                 raise ValueError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}")
+                    f"{name} must be a positive normal float, got {getattr(self, name)}")
         for name in ("tag_amp_ce", "tag_amp_id"):
             v = getattr(self, name)
-            if not 0 < v <= 1:
-                raise ValueError(f"{name} must lie in (0, 1], got {v}")
+            if not sys.float_info.min <= v <= 1:
+                raise ValueError(f"{name} must be a normal float in (0, 1], got {v}")
         if self.beta is None:
             object.__setattr__(self, "beta", path_loss_beta(
                 self.carrier_freq, self.distance, self.pathloss_exp))
-        elif not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        gain_squared(self.beta)
 
 
 def gain_squared(beta: float) -> float:

@@ -476,18 +476,3 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
     return VectorEstimate(h_hat=h, top_eigenvalue=lam * scale,
                           objective=_rank_one_objective(m, h, k))
 
-
-def mrt_precoder(v: VectorEstimate) -> np.ndarray:
-    """Transmit beamformer conj(h_hat) / ||h_hat||; unit norm."""
-    norm = np.linalg.norm(v.h_hat)
-    if v.degenerate or norm == 0:
-        raise ValueError("cannot beamform from a degenerate zero estimate")
-    return v.h_hat.conj() / norm
-
-
-def mrc_combiner(v: VectorEstimate) -> np.ndarray:
-    """Receive combiner h_hat / ||h_hat||; unit norm."""
-    norm = np.linalg.norm(v.h_hat)
-    if v.degenerate or norm == 0:
-        raise ValueError("cannot combine from a degenerate zero estimate")
-    return v.h_hat / norm

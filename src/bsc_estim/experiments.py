@@ -24,8 +24,9 @@ Sweep kinds, what their grids hold, and the rows they write:
 Monte Carlo sweeps call :func:`~bsc_estim.snr.mc_metrics` once per sweep
 point for every flavor, so LS and LMMSE rows come from the same trials.
 The closed-form sweeps (N_SWEEP, JOINT, COMPARE) evaluate their whole grid
-in one array pass through the ``*_grid`` functions, which equal the scalar
-ones bit for bit, and then yield rows point by point.
+in one array pass through the ``*_grid`` functions, which run each formula's
+one body on arrays and so equal the scalar functions bit for bit, and then
+yield rows point by point.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("sweep_grid values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep_grid must be strictly increasing")
-    _check_grid(sweep, grid, params)
+    _check_grid(sweep, grid, params, pilot.ce_time)
 
     trials = merged["trials"]
     if trials < 1:
@@ -247,7 +248,8 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
-def _check_grid(sweep: str, grid: list[float], params: SystemParams) -> None:
+def _check_grid(sweep: str, grid: list[float], params: SystemParams,
+                ce_time: float) -> None:
     """Reject grid values the sweep kind cannot run, before any point runs.
 
     The closed-form design sweeps evaluate their whole grid before the first
@@ -258,15 +260,19 @@ def _check_grid(sweep: str, grid: list[float], params: SystemParams) -> None:
         bad = [v for v in grid if not (v.is_integer() and 1 <= v <= n_antennas)]
         want = f"integer pilot counts in [1, n_antennas={n_antennas}]"
     elif sweep == "N_SWEEP":
-        try:
-            gain_squared(params.beta)
-        except ValueError as exc:
-            raise ConfigError(f"N_SWEEP: {exc}") from None
         bad = [v for v in grid if not (v.is_integer() and 1 <= v <= MAX_GRID_ANTENNAS)]
         want = f"integer antenna counts in [1, {MAX_GRID_ANTENNAS}]"
     elif sweep == "TAU_SWEEP":
         bad = [v for v in grid if v <= 0]
         want = "positive"
+    elif sweep == "SNR_SWEEP":
+        bad = []
+        for v in grid:
+            try:
+                _params_for_ce_snr_db(params, ce_time, v)
+            except (ArithmeticError, ValueError):
+                bad.append(v)
+        want = "training SNRs whose derived noise level is a positive normal float"
     elif sweep in ("JOINT", "COMPARE"):
         if n_antennas > MAX_GRID_ANTENNAS:
             raise ConfigError(f"{sweep} takes n_antennas <= {MAX_GRID_ANTENNAS}, "
@@ -288,13 +294,15 @@ def _flavors(cfg: ExperimentConfig) -> tuple[str, ...]:
     return (LS, LMMSE) if cfg.estimator == "BOTH" else (cfg.estimator,)
 
 
-def _params_for_ce_snr_db(cfg: ExperimentConfig, gamma_e_db: float) -> SystemParams:
-    """Adjust the noise level so the training-phase SNR hits ``gamma_e_db``."""
+def _params_for_ce_snr_db(params: SystemParams, ce_time: float,
+                          gamma_e_db: float) -> SystemParams:
+    """``params`` with the noise level at which a training slot of
+    ``ce_time`` has training-phase SNR ``gamma_e_db``: the inverse of
+    :func:`~bsc_estim.snr.ce_snr` in N0."""
     gamma_e = 10.0 ** (gamma_e_db / 10.0)
-    p = cfg.params
-    noise = (p.beta ** 2 * p.tag_amp_ce ** 2 * p.tx_power
-             * cfg.pilot.ce_time / gamma_e)
-    return replace(p, noise_var=noise)
+    noise = (params.beta ** 2 * params.tag_amp_ce ** 2 * params.tx_power
+             * ce_time / gamma_e)
+    return replace(params, noise_var=noise)
 
 
 def resolve_workers(workers: int) -> int:
@@ -334,7 +342,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 def _run_snr_sweep(cfg: ExperimentConfig):
     flavors = _flavors(cfg)
     for ge_db in cfg.sweep_grid:
-        params = _params_for_ce_snr_db(cfg, ge_db)
+        params = _params_for_ce_snr_db(cfg.params, cfg.pilot.ce_time, ge_db)
         # one kernel pass per point: every flavor and metric shares the
         # same seeded trials
         est = mc_metrics(params, cfg.pilot, flavors, cfg.trials, cfg.seed,

@@ -9,14 +9,13 @@ training-phase SNR against a threshold depending only on the array size.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ParamGrid, SystemParams
 from .estimators import LMMSE, LS
-from .snr import snr_approx_grid
+from .snr import _ce_snr, _shape_coefficients, snr_approx_grid
 
 CORNER_K1 = "CORNER_K1"
 CORNER_KN = "CORNER_KN"
@@ -33,25 +32,34 @@ class OptimizationOutcome:
     estimator_choice: str        # LS or LMMSE
 
 
-def _snr_approx_derivative(tau_c: float, pilot_count: int,
-                           params: SystemParams) -> float:
-    """d(approximate SNR)/d(tau_c), up to a positive constant factor.
+def _derivative_terms(p: SystemParams, beta_sq, n, pilot_count, tau_c):
+    """The two terms of d(approximate SNR)/d(tau_c), up to a positive factor.
 
     With rho = 1 + q / tau_c, q = N0 K / (beta^2 a0^2 p_t), and
     F(rho) = A/rho + B/sqrt(rho) + 2:
 
         d/dtau_c [(tau - tau_c) F(rho)] =
             -F(rho) + (tau - tau_c) (q / tau_c^2) (A/rho^2 + B/(2 rho^1.5))
+
+    Returns F(rho) and the second term.
     """
-    n = params.n_antennas
-    a = (n - 1) * (n - 2)
-    b = 4.0 * (n - 1)
-    q = (params.noise_var * pilot_count
-         / (params.beta ** 2 * params.tag_amp_ce ** 2 * params.tx_power))
+    a, b = _shape_coefficients(n)
+    q = p.noise_var * pilot_count / (beta_sq * p.tag_amp_ce ** 2 * p.tx_power)
     rho = 1.0 + q / tau_c
-    f = a / rho + b / math.sqrt(rho) + 2.0
+    f = a / rho + b / np.sqrt(rho) + 2.0
     df = a / rho ** 2 + b / (2.0 * rho ** 1.5)
-    return -f + (params.coherence_time - tau_c) * (q / tau_c ** 2) * df
+    return f, (p.coherence_time - tau_c) * (q / tau_c ** 2) * df
+
+
+def _snr_approx_derivative(tau_c: float, pilot_count: int,
+                           params: SystemParams) -> float:
+    """d(approximate SNR)/d(tau_c) at one point, up to a positive factor.
+
+    Takes Python numbers, so ``rho ** 1.5`` is libm's pow.
+    """
+    f, rise = _derivative_terms(params, params.beta ** 2, params.n_antennas,
+                                pilot_count, tau_c)
+    return -f + rise
 
 
 def _one_point(params: SystemParams) -> ParamGrid:
@@ -90,15 +98,9 @@ def optimal_ta_grid(pilot_count, grid: ParamGrid) -> np.ndarray:
     if not np.all((1 <= k) & (k <= n)):
         raise ValueError("pilot_count outside [1, n_antennas]")
     tau = p.coherence_time
-    a = (n - 1) * (n - 2)
-    b = 4.0 * (n - 1)
-    q = p.noise_var * k / (grid.beta_sq * p.tag_amp_ce ** 2 * p.tx_power)
 
     def derivative(tau_c: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        rho = 1.0 + q[idx] / tau_c
-        f = a[idx] / rho + b[idx] / np.sqrt(rho) + 2.0
-        df = a[idx] / rho ** 2 + b[idx] / (2.0 * rho ** 1.5)
-        rise = (tau - tau_c) * (q[idx] / tau_c ** 2) * df
+        f, rise = _derivative_terms(p, grid.beta_sq[idx], n[idx], k[idx], tau_c)
         d = -f + rise
         # not (|d| > margin), so that NaN goes to the scalar function too
         unsure = ~(np.abs(d) > _SIGN_MARGIN * (np.abs(f) + np.abs(rise)))
@@ -121,11 +123,15 @@ def optimal_ta_grid(pilot_count, grid: ParamGrid) -> np.ndarray:
     return np.where(interior, 0.5 * (lo + hi), lo)
 
 
+def _snr_threshold(n):
+    return (n - 1) ** 2 / (8.0 * (n + 1))
+
+
 def snr_threshold(n_antennas: int) -> float:
     """Pilot-count decision threshold (N - 1)^2 / (8 (N + 1)); increasing in N."""
     if n_antennas < 2:
         raise ValueError(f"threshold needs n_antennas >= 2, got {n_antennas}")
-    return (n_antennas - 1) ** 2 / (8.0 * (n_antennas + 1))
+    return _snr_threshold(n_antennas)
 
 
 def optimal_pc(ce_energy: float, params: SystemParams) -> int:
@@ -170,10 +176,9 @@ def joint_optimize_grid(grid: ParamGrid) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     p, n = grid.params, grid.n_antennas
     tau_c = optimal_ta_grid(1, grid)
-    gamma_e1 = (grid.beta_sq * p.tag_amp_ce ** 2
-                * p.tx_power * tau_c / p.noise_var)
+    gamma_e1 = _ce_snr(p, grid.beta_sq, tau_c)
     # the snr_threshold rule, where there is a pilot count to choose
-    pick_n = (n > 1) & ~(gamma_e1 <= (n - 1) ** 2 / (8.0 * (n + 1)))
+    pick_n = (n > 1) & ~(gamma_e1 <= _snr_threshold(n))
     if pick_n.any():
         tau_c[pick_n] = optimal_ta_grid(n[pick_n], grid.take(pick_n))
     k = np.where(pick_n, n, 1)
@@ -187,19 +192,6 @@ def decide(params: SystemParams, has_prior_stats: bool) -> OptimizationOutcome:
     and the noise level); whether those are known is a caller fact, so it
     arrives as a flag rather than being inferred.
     """
-    outcome = joint_optimize(params)
-    return OptimizationOutcome(
-        tau_c_opt=outcome.tau_c_opt,
-        k_opt=outcome.k_opt,
-        predicted_snr=outcome.predicted_snr,
-        decision_path=outcome.decision_path,
-        estimator_choice=LMMSE if has_prior_stats else LS,
-    )
-
-
-def ce_snr_at_k1_optimum(params: SystemParams) -> float:
-    """Training SNR at the single-pilot optimal time; the joint-rule pivot."""
-    tau_c1 = optimal_ta(1, params)
-    return (params.beta ** 2 * params.tag_amp_ce ** 2
-            * params.tx_power * tau_c1 / params.noise_var)
+    return replace(joint_optimize(params),
+                   estimator_choice=LMMSE if has_prior_stats else LS)
 

@@ -66,27 +66,66 @@ class McEstimate:
     trials: int
 
 
+# Each closed form below has one body that takes Python scalars or numpy
+# arrays: the scalar function passes params.beta ** 2 and params.n_antennas,
+# its *_grid form the ParamGrid's beta_sq and n_antennas, so every grid entry
+# equals the scalar function at that point bit for bit.
+
+def _ce_snr(p: SystemParams, beta_sq, tau_c):
+    return beta_sq * p.tag_amp_ce ** 2 * p.tx_power * tau_c / p.noise_var
+
+
 def ce_snr(cfg: PilotConfig, params: SystemParams) -> float:
     """Average backscattered SNR available to the training phase.
 
     beta**2 a0**2 E_c / N0 with E_c = p_t tau_c; independent of the pilot
     count, which only splits the same energy across antennas.
     """
-    return (params.beta ** 2 * params.tag_amp_ce ** 2
-            * params.tx_power * cfg.ce_time / params.noise_var)
+    return _ce_snr(params, params.beta ** 2, cfg.ce_time)
+
+
+def _snr_perfect_csi(p: SystemParams, beta_sq, n):
+    return (p.coherence_time * p.tx_power * p.tag_amp_id ** 2
+            * n * (n + 1) * beta_sq / p.noise_var)
 
 
 def snr_perfect_csi(params: SystemParams) -> float:
     """Decoding SNR with a genie channel: tau p_t a_id^2 N(N+1) beta^2 / N0."""
-    n = params.n_antennas
-    return (params.coherence_time * params.tx_power * params.tag_amp_id ** 2
-            * n * (n + 1) * params.beta ** 2 / params.noise_var)
+    return _snr_perfect_csi(params, params.beta ** 2, params.n_antennas)
+
+
+def snr_perfect_csi_grid(grid: ParamGrid) -> np.ndarray:
+    """:func:`snr_perfect_csi` at every point of ``grid``."""
+    return _snr_perfect_csi(grid.params, grid.beta_sq, grid.n_antennas)
+
+
+def _snr_isotropic(p: SystemParams, beta_sq):
+    return (2.0 * p.coherence_time * p.tx_power
+            * p.tag_amp_id ** 2 * beta_sq / p.noise_var)
 
 
 def snr_isotropic(params: SystemParams) -> float:
     """Decoding SNR of blind equal-weight transmission: 2 tau p_t a_id^2 beta^2 / N0."""
-    return (2.0 * params.coherence_time * params.tx_power
-            * params.tag_amp_id ** 2 * params.beta ** 2 / params.noise_var)
+    return _snr_isotropic(params, params.beta ** 2)
+
+
+def snr_isotropic_grid(grid: ParamGrid) -> np.ndarray:
+    """:func:`snr_isotropic` at every point of ``grid``."""
+    return _snr_isotropic(grid.params, grid.beta_sq)
+
+
+def _shape_coefficients(n):
+    """A = (N-1)(N-2) and B = 4(N-1) of the SNR shape A/rho + B/sqrt(rho) + 2."""
+    return (n - 1) * (n - 2), 4.0 * (n - 1)
+
+
+def _snr_approx(p: SystemParams, beta_sq, n, tau_c, pilot_count):
+    rho = 1.0 + (p.noise_var * pilot_count
+                 / (beta_sq * p.tag_amp_ce ** 2 * p.tx_power * tau_c))
+    a, b = _shape_coefficients(n)
+    shape = a / rho + b / np.sqrt(rho) + 2.0
+    return ((p.coherence_time - tau_c) * p.tx_power
+            * p.tag_amp_id ** 2 * beta_sq / p.noise_var) * shape
 
 
 def snr_approx(tau_c: float, pilot_count: int, params: SystemParams) -> float:
@@ -105,30 +144,7 @@ def snr_approx(tau_c: float, pilot_count: int, params: SystemParams) -> float:
         raise ValueError(f"tau_c={tau_c} outside (0, {params.coherence_time})")
     if not 1 <= pilot_count <= n:
         raise ValueError(f"pilot_count={pilot_count} outside [1, {n}]")
-    rho = 1.0 + (params.noise_var * pilot_count
-                 / (params.beta ** 2 * params.tag_amp_ce ** 2
-                    * params.tx_power * tau_c))
-    shape = ((n - 1) * (n - 2) / rho + 4.0 * (n - 1) / math.sqrt(rho) + 2.0)
-    return ((params.coherence_time - tau_c) * params.tx_power
-            * params.tag_amp_id ** 2 * params.beta ** 2 / params.noise_var) * shape
-
-
-# Grid forms of the closed forms above: one value per point of a ParamGrid,
-# with each scalar formula's operations in the same order on beta_sq, so
-# every entry equals the scalar function at that point bit for bit.
-
-def snr_perfect_csi_grid(grid: ParamGrid) -> np.ndarray:
-    """:func:`snr_perfect_csi` at every point of ``grid``."""
-    p, n = grid.params, grid.n_antennas
-    return (p.coherence_time * p.tx_power * p.tag_amp_id ** 2
-            * n * (n + 1) * grid.beta_sq / p.noise_var)
-
-
-def snr_isotropic_grid(grid: ParamGrid) -> np.ndarray:
-    """:func:`snr_isotropic` at every point of ``grid``."""
-    p = grid.params
-    return (2.0 * p.coherence_time * p.tx_power
-            * p.tag_amp_id ** 2 * grid.beta_sq / p.noise_var)
+    return float(_snr_approx(params, params.beta ** 2, n, tau_c, pilot_count))
 
 
 def snr_approx_grid(tau_c, pilot_count, grid: ParamGrid) -> np.ndarray:
@@ -144,11 +160,7 @@ def snr_approx_grid(tau_c, pilot_count, grid: ParamGrid) -> np.ndarray:
         raise ValueError(f"tau_c outside (0, {p.coherence_time})")
     if not np.all((1 <= k) & (k <= n)):
         raise ValueError("pilot_count outside [1, n_antennas]")
-    rho = 1.0 + (p.noise_var * k
-                 / (grid.beta_sq * p.tag_amp_ce ** 2 * p.tx_power * tau_c))
-    shape = ((n - 1) * (n - 2) / rho + 4.0 * (n - 1) / np.sqrt(rho) + 2.0)
-    return ((p.coherence_time - tau_c) * p.tx_power
-            * p.tag_amp_id ** 2 * grid.beta_sq / p.noise_var) * shape
+    return _snr_approx(p, grid.beta_sq, n, tau_c, k)
 
 
 def approx_moments(flavor: str, cfg: PilotConfig, params: SystemParams,

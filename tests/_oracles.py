@@ -6,9 +6,11 @@ problem, a spectral closed form for the linear MMSE filter under orthogonal
 pilots, the beams of the two pilot-count corners, the one-draw decoding SNR,
 DFT pilots, and plain-grid maximizers.
 The exceptions are frozen copies kept for bitwise regression checks:
-:func:`refine_reference`, the estimator's Newton refinement, and
+:func:`refine_reference`, the estimator's Newton refinement,
 :func:`optimal_ta_reference` / :func:`joint_design_reference`, the scalar
-training-time bisection and pilot-count rule.
+training-time bisection and pilot-count rule, and
+:func:`snr_approx_reference`, :func:`snr_perfect_csi_reference` and
+:func:`snr_isotropic_reference`, the scalar closed forms.
 """
 
 from __future__ import annotations
@@ -215,6 +217,32 @@ def refine_reference(h_hat_matrix: np.ndarray, h0: np.ndarray, k: int,
         if not stepped:
             break
     return h
+
+
+def snr_perfect_csi_reference(params) -> float:
+    """Frozen scalar ``snr.snr_perfect_csi``: tau p_t a_id^2 N(N+1) beta^2 / N0."""
+    n = params.n_antennas
+    return (params.coherence_time * params.tx_power * params.tag_amp_id ** 2
+            * n * (n + 1) * params.beta ** 2 / params.noise_var)
+
+
+def snr_isotropic_reference(params) -> float:
+    """Frozen scalar ``snr.snr_isotropic``: 2 tau p_t a_id^2 beta^2 / N0."""
+    return (2.0 * params.coherence_time * params.tx_power
+            * params.tag_amp_id ** 2 * params.beta ** 2 / params.noise_var)
+
+
+def snr_approx_reference(tau_c: float, pilot_count: int, params) -> float:
+    """Frozen scalar ``snr.snr_approx``, one point with Python floats:
+    (tau - tau_c) p_t a_id^2 beta^2 / N0 * [(N-1)(N-2)/rho + 4(N-1)/sqrt(rho) + 2]
+    with rho = 1 + N0 K / (beta^2 a0^2 p_t tau_c)."""
+    n = params.n_antennas
+    rho = 1.0 + (params.noise_var * pilot_count
+                 / (params.beta ** 2 * params.tag_amp_ce ** 2
+                    * params.tx_power * tau_c))
+    shape = ((n - 1) * (n - 2) / rho + 4.0 * (n - 1) / math.sqrt(rho) + 2.0)
+    return ((params.coherence_time - tau_c) * params.tx_power
+            * params.tag_amp_id ** 2 * params.beta ** 2 / params.noise_var) * shape
 
 
 def _snr_approx_derivative_reference(tau_c: float, pilot_count: int, params) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 import bsc_estim
 from bsc_estim import SystemParams
+from bsc_estim.experiments import _params_for_ce_snr_db
 
 
 @pytest.fixture
@@ -39,11 +40,7 @@ def make_params(**overrides):
 
 def params_at_ce_snr_db(gamma_e_db: float, tau_c: float = 1e-4, **overrides):
     """Reference params with the noise level set to hit a training SNR."""
-    p = make_params(**overrides)
-    gamma_e = 10.0 ** (gamma_e_db / 10.0)
-    noise = p.beta ** 2 * p.tag_amp_ce ** 2 * p.tx_power * tau_c / gamma_e
-    return make_params(noise_var=noise, **{k: v for k, v in overrides.items()
-                                           if k != "noise_var"})
+    return _params_for_ce_snr_db(make_params(**overrides), tau_c, gamma_e_db)
 
 
 def random_channel_vector(rng: np.random.Generator, n: int, beta: float = 1.0):

@@ -16,6 +16,7 @@ from bsc_estim import (
     LS,
     MatrixEstimate,
     PilotConfig,
+    ce_snr,
     joint_optimize,
     mc_metrics,
     optimal_pc,
@@ -26,7 +27,6 @@ from bsc_estim import (
     snr_threshold,
     vector_estimate,
 )
-from bsc_estim.optimizer import ce_snr_at_k1_optimum
 from conftest import (make_params, params_at_ce_snr_db, random_channel_vector,
                       run_cli)
 from _oracles import brute_force_min, corner_received_power, grid_argmax
@@ -97,7 +97,7 @@ def _params_for_gamma_e1(gamma_e1_db: float, n_antennas: int):
 
     def gamma_e1(log_n0):
         p = make_params(n_antennas=n_antennas, noise_var=10.0 ** log_n0)
-        return ce_snr_at_k1_optimum(p)
+        return ce_snr(PilotConfig(1, optimal_ta(1, p)), p)
 
     lo, hi = -30.0, -6.0
     for _ in range(200):

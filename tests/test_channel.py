@@ -95,7 +95,12 @@ class TestSystemParams:
             make_params(noise_var=0.0)
         for bad in (dict(noise_var=float("nan")), dict(distance=float("inf")),
                     dict(beta=float("inf")), dict(tag_amp_id=float("nan")),
-                    dict(distance=1e300), dict(carrier_freq=1e200)):
+                    dict(distance=1e300), dict(carrier_freq=1e200),
+                    # beta ** 2 underflows, given or derived
+                    dict(beta=1e-200), dict(distance=1e79),
+                    # subnormal floats
+                    dict(noise_var=1e-320), dict(tx_power=5e-324),
+                    dict(tag_amp_ce=1e-310)):
             with pytest.raises(ValueError):
                 make_params(**bad)
 

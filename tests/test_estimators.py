@@ -10,8 +10,6 @@ from bsc_estim import (
     draw_channel,
     lmmse_matrix,
     ls_matrix,
-    mrc_combiner,
-    mrt_precoder,
     vector_estimate,
 )
 from bsc_estim import estimators
@@ -456,43 +454,3 @@ class TestVectorEstimate:
             sibling_wins += int(np.argmin(refined)) != 0
         assert sibling_wins >= 5
 
-
-class TestBeamformers:
-    def test_mrt_conjugates_and_normalizes(self):
-        c = 2.0 - 1.5j
-        h = np.zeros(4, complex)
-        h[0] = c
-        v = vector_estimate(MatrixEstimate(np.outer(h, h[:4]), LS,
-                                           PilotConfig(4, 1e-4)))
-        g_t = mrt_precoder(v)
-        assert np.linalg.norm(g_t) == pytest.approx(1.0, rel=1e-12)
-        # direction concentrated on the first antenna
-        assert abs(g_t[0]) == pytest.approx(1.0, rel=1e-12)
-
-    def test_mrc_direction(self):
-        rng = np.random.default_rng(71)
-        h = random_channel_vector(rng, 5)
-        v = vector_estimate(MatrixEstimate(np.outer(h, h), LS, PilotConfig(5, 1e-4)))
-        g_r = mrc_combiner(v)
-        assert np.linalg.norm(g_r) == pytest.approx(1.0, rel=1e-12)
-        align = abs(np.vdot(g_r, h)) / np.linalg.norm(h)
-        assert align == pytest.approx(1.0, rel=1e-9)
-
-    def test_sign_flip_cancels_downstream(self):
-        rng = np.random.default_rng(72)
-        h = random_channel_vector(rng, 4)
-        v = vector_estimate(MatrixEstimate(np.outer(h, h), LS, PilotConfig(4, 1e-4)))
-        flipped = type(v)(h_hat=-v.h_hat, top_eigenvalue=v.top_eigenvalue,
-                          objective=v.objective)
-        a = abs(np.vdot(mrt_precoder(v).conj(), h)) ** 4
-        b = abs(np.vdot(mrt_precoder(flipped).conj(), h)) ** 4
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_zero_estimate_rejected(self):
-        from bsc_estim import VectorEstimate
-        z = VectorEstimate(h_hat=np.zeros(3, complex), top_eigenvalue=0.0,
-                           objective=0.0, degenerate=True)
-        with pytest.raises(ValueError):
-            mrt_precoder(z)
-        with pytest.raises(ValueError):
-            mrc_combiner(z)

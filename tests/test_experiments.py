@@ -387,6 +387,10 @@ class TestCli:
         "noise_var = nan", "distance = inf", "beta = inf", "ce_time = nan",
         # the derived path-loss gain overflows or underflows to zero
         "distance = 1e300", "carrier_freq = 1e200", "distance = 1e-300",
+        # a gain whose square underflows, given or derived at 1e79 m
+        "beta = 1e-200", "distance = 1e79",
+        # a subnormal float
+        "noise_var = 1e-320",
     ])
     def test_non_finite_input_fails_at_load(self, tmp_path, line):
         res = run_cli("optimize", "--config", _write(tmp_path, line + "\n"))
@@ -421,6 +425,13 @@ class TestCli:
         "beta = 1e-200\nsweep = N_SWEEP\nsweep_grid = 2, 4\n",
         "sweep = COMPARE\nsweep_grid = 60, 1e79\n",
         "sweep = JOINT\nsweep_grid = 60, 1e79\n",
+        "n_antennas = 4\nbeta = 1e-200\nsweep = SNR_SWEEP\n",
+        "n_antennas = 4\nbeta = 1e-200\nsweep = K_SWEEP\n",
+        "n_antennas = 4\nbeta = 1e-200\nsweep = TAU_SWEEP\n",
+        # training SNRs whose derived noise level is subnormal (3000 dB), or
+        # whose 10 ** (dB / 10) under- or overflows
+        "n_antennas = 2\nsweep = SNR_SWEEP\nsweep_grid = 0, 3000\n",
+        "n_antennas = 2\nsweep = SNR_SWEEP\nsweep_grid = -4000, 0, 4000\n",
     ])
     def test_grid_outside_sweep_domain_fails_at_load(self, tmp_path, capsys, body):
         cfg = _write(tmp_path, "trials = 3\nestimator = LS\n" + body)

@@ -4,6 +4,8 @@ import pytest
 from bsc_estim import (
     LMMSE,
     LS,
+    PilotConfig,
+    ce_snr,
     decide,
     joint_optimize,
     optimal_pc,
@@ -16,13 +18,19 @@ from bsc_estim.channel import ParamGrid
 from bsc_estim.optimizer import (
     CORNER_K1,
     CORNER_KN,
-    ce_snr_at_k1_optimum,
     joint_optimize_grid,
     optimal_ta_grid,
 )
 from bsc_estim.snr import snr_approx_grid, snr_isotropic_grid, snr_perfect_csi_grid
 from conftest import make_params
-from _oracles import grid_argmax, joint_design_reference, optimal_ta_reference
+from _oracles import (
+    grid_argmax,
+    joint_design_reference,
+    optimal_ta_reference,
+    snr_approx_reference,
+    snr_isotropic_reference,
+    snr_perfect_csi_reference,
+)
 
 
 def _params_for_gamma_e1(gamma_e1_db: float, n_antennas: int):
@@ -32,7 +40,7 @@ def _params_for_gamma_e1(gamma_e1_db: float, n_antennas: int):
 
     def gamma_e1(log_n0):
         p = make_params(n_antennas=n_antennas, noise_var=10.0 ** log_n0)
-        return ce_snr_at_k1_optimum(p)
+        return ce_snr(PilotConfig(1, optimal_ta(1, p)), p)
 
     lo, hi = -30.0, -6.0
     assert gamma_e1(lo) > target > gamma_e1(hi)
@@ -151,7 +159,7 @@ class TestJointOptimize:
 
     def test_threshold_rule_applied(self):
         p = make_params()
-        gamma_e1 = ce_snr_at_k1_optimum(p)
+        gamma_e1 = ce_snr(PilotConfig(1, optimal_ta(1, p)), p)
         out = joint_optimize(p)
         expected = 1 if gamma_e1 <= snr_threshold(20) else 20
         assert out.k_opt == expected
@@ -240,7 +248,8 @@ def _range_by_size_grid(ranges, sizes) -> ParamGrid:
 
 
 def _grid_vs_scalar_mismatches(grid: ParamGrid, tau_c0: float = 1e-4) -> list[int]:
-    """Points where a grid function's float.hex differs from the scalar one's."""
+    """Points where a grid function's or a scalar function's float.hex
+    differs from the frozen scalar reference's."""
     n = grid.n_antennas
     tau_1 = optimal_ta_grid(1, grid)
     tau_n = optimal_ta_grid(n, grid)
@@ -253,21 +262,25 @@ def _grid_vs_scalar_mismatches(grid: ParamGrid, tau_c0: float = 1e-4) -> list[in
     bad = []
     for i, got in enumerate(rows):
         p = grid.point(i)
+        n_p = p.n_antennas
         ref_1 = optimal_ta_reference(1, p)
-        ref_n = optimal_ta_reference(p.n_antennas, p)
+        ref_n = optimal_ta_reference(n_p, p)
         tau_j, k_j = joint_design_reference(p)
-        design = [tau_j, float(k_j), snr_approx(tau_j, k_j, p)]
-        want = [ref_1, ref_n, *design,
-                snr_approx(tau_c0, p.n_antennas, p), snr_approx(ref_n, p.n_antennas, p),
-                snr_isotropic(p), snr_perfect_csi(p)]
-        if [x.hex() for x in got] != [x.hex() for x in want]:
+        design = [tau_j, float(k_j), snr_approx_reference(tau_j, k_j, p)]
+        closed = [snr_approx_reference(tau_c0, n_p, p), snr_approx_reference(ref_n, n_p, p),
+                  snr_isotropic_reference(p), snr_perfect_csi_reference(p)]
+        scalar = [snr_approx(tau_c0, n_p, p), snr_approx(ref_n, n_p, p),
+                  snr_isotropic(p), snr_perfect_csi(p)]
+        want = [ref_1, ref_n, *design, *closed]
+        if [x.hex() for x in [*got, *scalar]] != [x.hex() for x in [*want, *closed]]:
             bad.append(i)
     return bad
 
 
 class TestGridMatchesScalar:
-    """The array-pass forms used by the design sweeps reproduce the scalar
-    bisection (frozen in ``_oracles``) and closed forms bit for bit."""
+    """The array-pass forms used by the design sweeps, and the scalar closed
+    forms, reproduce the scalar bisection and closed forms frozen in
+    ``_oracles`` bit for bit."""
 
     def test_bitwise_over_ranges_and_array_sizes(self):
         # 90 ranges from 1 m to 2 km times N = 1..128: 11 520 points, both

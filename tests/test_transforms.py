@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bsc_estim import build_realified, phi, sym
+from bsc_estim.transforms import build_realified, phi, sym
 from conftest import random_channel_vector
 
 
