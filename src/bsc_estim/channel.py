@@ -231,7 +231,6 @@ class ReceivedSignal:
 
     y: np.ndarray                # complex (N, K)
     pilot_scaled: np.ndarray     # complex (K, K), includes the tag contrast
-    noise_var: float
 
 
 def draw_channel(params: SystemParams, seed, pilot_count: int | None = None) -> ChannelRealization:
@@ -290,4 +289,4 @@ def backscatter(chan: ChannelRealization, pilots: np.ndarray, tag_amp_ce: float,
             rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
         )
         y = y + w
-    return ReceivedSignal(y=y, pilot_scaled=s0, noise_var=noise_var)
+    return ReceivedSignal(y=y, pilot_scaled=s0)

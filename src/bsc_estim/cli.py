@@ -26,7 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=int, default=None, help="override trial count")
     run.add_argument("--workers", type=int, default=None,
                      help="worker processes (default: the config's workers; "
-                          "0 there means the CPUs this process may use)")
+                          "0 means the CPUs this process may use)")
     run.add_argument("--out", default=None, help="override output CSV path")
 
     opt = sub.add_parser("optimize", help="print the jointly optimal design")
@@ -62,25 +62,18 @@ def _cmd_run(args) -> int:
         write_csv,
     )
 
+    overrides = {"seed": args.seed, "trials": args.trials,
+                 "workers": args.workers, "output_path": args.out}
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.trials is not None:
-            if args.trials < 1:
-                raise ConfigError(f"trials must be >= 1, got {args.trials}")
-            cfg = replace(cfg, trials=args.trials)
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError(f"workers must be >= 1, got {args.workers}")
-            cfg = replace(cfg, workers=args.workers)
-        if args.out is not None:
-            cfg = replace(cfg, output_path=args.out)
+        # replace() re-checks each override against the config's own rule
+        cfg = replace(load_config(args.config),
+                      **{k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    print(_run_header(resolve_workers(cfg.workers)), file=sys.stderr)
+    cfg = replace(cfg, workers=resolve_workers(cfg.workers))
+    print(_run_header(cfg.workers), file=sys.stderr)
     rows = []
     try:
         for row in iter_experiment(cfg):
@@ -120,6 +113,10 @@ def _cmd_optimize(args) -> int:
     except Exception as exc:  # noqa: BLE001
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    # load_config bounds it above; below, JSON has no -Infinity decibels
+    if not outcome.predicted_snr > 0:
+        print("config error: the predicted SNR underflows to zero", file=sys.stderr)
+        return EXIT_VALIDATION
     print(json.dumps({
         "tau_c_opt": outcome.tau_c_opt,
         "k_opt": outcome.k_opt,
@@ -132,7 +129,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _selftest_checks():
-    from .channel import PilotConfig, SystemParams, backscatter, build_pilots, draw_channel, path_loss_beta
+    from .channel import SystemParams, backscatter, build_pilots, draw_channel, path_loss_beta
     from .estimators import ls_matrix, vector_estimate
     from .optimizer import optimal_ta, snr_threshold
     from .snr import snr_approx, snr_isotropic, snr_perfect_csi
@@ -152,7 +149,7 @@ def _selftest_checks():
 
     chan = draw_channel(params, 7, pilot_count=20)
     rx = backscatter(chan, build_pilots(20, 1e-4, 1.0), 0.78, 0.0, 8)
-    vest = vector_estimate(ls_matrix(rx, PilotConfig(20, 1e-4)))
+    vest = vector_estimate(ls_matrix(rx))
     err = min(np.linalg.norm(vest.h_hat - chan.h), np.linalg.norm(vest.h_hat + chan.h))
     yield "noiseless recovery", err <= 1e-8 * np.linalg.norm(chan.h)
 

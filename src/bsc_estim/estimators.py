@@ -4,12 +4,14 @@ The pipeline splits in two stages.  Stage one produces a matrix estimate of
 the rank-one cascaded channel from the received pilot block: either plain
 least squares through the pilot pseudo-inverse, or the linear MMSE estimate,
 which for the package's orthogonal pilots is three O(NK) scalar shrinks of
-the LS estimate.  Stage two recovers the channel vector itself from the
-matrix estimate by reducing the rank-one fitting problem to a real symmetric
-eigenvalue problem of size 2K.  At K = N only its top eigenpair is used, and
-that comes from a K x K Hermitian eigenproblem instead (a Takagi vector of
-the head's symmetric part); 1 < K < N solves the whole 2K spectrum, because
-every positive eigenpair seeds a candidate there.
+the LS estimate.  The LS estimate carries the per-pilot energy E0 it divided
+by, and the LMMSE shrinks read E0 from there.  Stage two recovers the
+channel vector itself from the matrix estimate by reducing the rank-one
+fitting problem to a real symmetric eigenvalue problem of size 2K.  At
+K = N only its top eigenpair is used, and that comes from a K x K Hermitian
+eigenproblem instead (a Takagi vector of the head's symmetric part);
+1 < K < N solves the whole 2K spectrum, because every positive eigenpair
+seeds a candidate there.
 
 :func:`prior_covariance` and :func:`lmmse_gain` solve the same filter as a
 dense NK x NK system; only tests call them, as the reference.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PilotConfig, ReceivedSignal
+from .channel import ReceivedSignal
 from .transforms import phi, sym
 
 LS = "LS"
@@ -49,7 +51,7 @@ class MatrixEstimate:
 
     h_hat_matrix: np.ndarray
     flavor: str                  # LS or LMMSE
-    pilot_config: PilotConfig
+    pilot_energy: float          # E0 = ||S0||_F^2 / K, the LS estimate's divisor
 
 
 @dataclass(frozen=True)
@@ -77,28 +79,24 @@ class PriorCovariance:
     pilot_count: int
 
 
-def _pilot_energy(pilot_scaled: np.ndarray) -> float:
-    """Per-pilot energy E0 read off the scaled pilot Gram: S0 @ S0^H = E0 I."""
-    k = pilot_scaled.shape[0]
-    return float(np.linalg.norm(pilot_scaled) ** 2) / k
-
-
-def ls_matrix(rx: ReceivedSignal, cfg: PilotConfig) -> MatrixEstimate:
+def ls_matrix(rx: ReceivedSignal) -> MatrixEstimate:
     """Least-squares matrix estimate Y @ S0^H / E0.
 
-    For orthogonal pilots this is the pseudo-inverse solution; in the
-    noiseless limit it reproduces the cascaded channel exactly.
+    E0 is the per-pilot energy read off the scaled pilot Gram,
+    S0 @ S0^H = E0 I, and the estimate carries it.  For orthogonal pilots
+    this is the pseudo-inverse solution; in the noiseless limit it
+    reproduces the cascaded channel exactly.
     """
     s0 = rx.pilot_scaled
-    if rx.y.shape[1] != s0.shape[0] or s0.shape[0] != cfg.pilot_count:
+    k = s0.shape[0]
+    if rx.y.shape[1] != k:
         raise ValueError(
-            f"received block {rx.y.shape} inconsistent with pilot_count={cfg.pilot_count}"
-        )
-    e0 = _pilot_energy(s0)
+            f"received block {rx.y.shape} inconsistent with {k} pilots")
+    e0 = float(np.linalg.norm(s0) ** 2) / k
     if e0 <= 0:
         raise ValueError("pilot energy is zero; cannot invert the pilot block")
     h_hat = rx.y @ s0.conj().T / e0
-    return MatrixEstimate(h_hat_matrix=h_hat, flavor=LS, pilot_config=cfg)
+    return MatrixEstimate(h_hat_matrix=h_hat, flavor=LS, pilot_energy=e0)
 
 
 def prior_covariance(beta: float, n_antennas: int, pilot_count: int) -> PriorCovariance:
@@ -150,16 +148,16 @@ def lmmse_gain(pilot_scaled: np.ndarray, prior: PriorCovariance,
     return (c_sh @ u) @ (u.conj().T / w_eig[:, None])
 
 
-def lmmse_matrix(ls: MatrixEstimate, beta: float, pilot_energy: float,
-                 noise_var: float) -> MatrixEstimate:
+def lmmse_matrix(ls: MatrixEstimate, beta: float, noise_var: float) -> MatrixEstimate:
     """Linear MMSE matrix estimate: three scalar shrinks of the LS estimate.
 
     Exact for orthogonal pilots, S0 @ S0^H = E0 I, which :func:`build_pilots`
     guarantees: the LS estimate is then a sufficient statistic with white
     error N0 / E0 per entry.  The filter scales the symmetric head part by
     2 beta^2 E0 / (2 beta^2 E0 + N0), the antisymmetric head part by 0 and
-    the tail rows by beta^2 E0 / (beta^2 E0 + N0).  ``pilot_energy`` is the
-    E0 that ``ls`` was divided by.  O(NK): no NK x NK system is formed.
+    the tail rows by beta^2 E0 / (beta^2 E0 + N0), with E0 read from
+    ``ls.pilot_energy``, the energy the LS estimate divided by.  O(NK): no
+    NK x NK system is formed.
     """
     if ls.flavor != LS:
         raise ValueError(f"lmmse_matrix shrinks an LS estimate, got {ls.flavor}")
@@ -167,12 +165,12 @@ def lmmse_matrix(ls: MatrixEstimate, beta: float, pilot_energy: float,
         raise ValueError(f"beta and noise_var must be positive, got {beta}, {noise_var}")
     m = ls.h_hat_matrix
     k = m.shape[1]
-    signal = beta ** 2 * pilot_energy
+    signal = beta ** 2 * ls.pilot_energy
     out = np.empty_like(m)
     # 0.5 (head + head^T) * 2 signal / (...), with the exact factors of 2 cancelled
     out[:k] = (m[:k] + m[:k].T) * (signal / (2.0 * signal + noise_var))
     out[k:] = m[k:] * (signal / (signal + noise_var))
-    return MatrixEstimate(h_hat_matrix=out, flavor=LMMSE, pilot_config=ls.pilot_config)
+    return MatrixEstimate(h_hat_matrix=out, flavor=LMMSE, pilot_energy=ls.pilot_energy)
 
 
 def _rank_one_objective(h_hat_matrix: np.ndarray, h: np.ndarray, k: int) -> float:
@@ -296,11 +294,11 @@ def _reduction_candidates(h_hat_matrix: np.ndarray,
                           k: int) -> list[tuple[float, np.ndarray]]:
     """Every positive eigenpair of the realified head block, principal first.
 
-    Each pair seeds one candidate vector through :func:`_candidate`.  The
-    principal pair is the usual choice, but on about one noisy draw in seven
-    a sibling pair sits in the better fitting basin (16 of 108 seeded LS
-    draws at N = 20, -5 to +5 dB), so callers keep the best-objective
-    candidate after refinement.
+    Each pair seeds one candidate vector through :func:`_eigen_head` and
+    :func:`_candidate`.  The principal pair is the usual choice, but on about
+    one noisy draw in seven a sibling pair sits in the better fitting basin
+    (16 of 108 seeded LS draws at N = 20, -5 to +5 dB), so callers keep the
+    best-objective candidate after refinement.
     Candidates are built only when a caller needs them.  Only the head's
     operator z_a of :func:`~bsc_estim.transforms.build_realified` is formed;
     the tail is filled in from the eigenvector later.
@@ -343,15 +341,20 @@ def _takagi_pair(h_hat_matrix: np.ndarray) -> tuple[float, np.ndarray] | None:
     return sigma, np.concatenate([x.real, x.imag])
 
 
-def _candidate(h_hat_matrix: np.ndarray, lam: float, v: np.ndarray) -> np.ndarray:
-    """Candidate vector from one eigenpair of the realified head block.
+def _eigen_head(lam: float, v: np.ndarray) -> np.ndarray:
+    """Complex head of one eigenpair of the realified head block: the unit
+    eigenvector scaled by sqrt(lambda / 2)."""
+    k = v.size // 2
+    vec = v / np.linalg.norm(v)
+    return np.sqrt(lam / 2.0) * (vec[:k] + 1j * vec[k:])
 
-    The head is the unit eigenvector scaled by sqrt(lambda / 2); the tail
-    rows against the conjugated head fill in the rest.
+
+def _candidate(h_hat_matrix: np.ndarray, lam: float, head: np.ndarray) -> np.ndarray:
+    """Candidate vector from its complex head, with ||head||^2 = lambda / 2.
+
+    The tail rows against the conjugated head fill in the rest.
     """
     n, k = h_hat_matrix.shape
-    vec = v / np.linalg.norm(v)
-    head = np.sqrt(lam / 2.0) * (vec[:k] + 1j * vec[k:])
     h = np.zeros(n, dtype=complex)
     h[:k] = head
     if k < n:
@@ -448,29 +451,26 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
                               objective=_rank_one_objective(m, np.zeros(n, complex), k),
                               degenerate=True)
 
-    if k == 1:
-        h = np.zeros(n, dtype=complex)
-        h[:1] = head
-        if n > 1:
-            h[1:] = mn[1:, :] @ head.conj() / (lam / 2.0)
-    else:
-        h = _candidate(mn, *pairs[0])
-        if k < n and np.linalg.norm(_residual_gradient(
-                np.outer(h, h[:k]) - mn, h, k)) > _REFINE_GRADIENT_TOL:
-            candidates = [h] + [_candidate(mn, *p) for p in pairs[1:]]
-            if len(candidates) <= _REFINE_ALL_LIMIT:
-                chosen = range(len(candidates))
-            else:
-                scored = sorted((_rank_one_objective(mn, cand, k), i)
-                                for i, cand in enumerate(candidates))
-                chosen = sorted({0} | {i for _, i in scored[:2]})
-            best = None
-            for i in chosen:
-                refined = _refine(mn, candidates[i], k)
-                obj = _rank_one_objective(mn, refined, k)
-                if best is None or obj < best[0]:
-                    best = (obj, refined)
-            h = best[1]
+    if k > 1:
+        head = _eigen_head(*pairs[0])
+    h = _candidate(mn, lam, head)
+    if 1 < k < n and np.linalg.norm(_residual_gradient(
+            np.outer(h, h[:k]) - mn, h, k)) > _REFINE_GRADIENT_TOL:
+        candidates = [h] + [_candidate(mn, lam_i, _eigen_head(lam_i, v_i))
+                            for lam_i, v_i in pairs[1:]]
+        if len(candidates) <= _REFINE_ALL_LIMIT:
+            chosen = range(len(candidates))
+        else:
+            scored = sorted((_rank_one_objective(mn, cand, k), i)
+                            for i, cand in enumerate(candidates))
+            chosen = sorted({0} | {i for _, i in scored[:2]})
+        best = None
+        for i in chosen:
+            refined = _refine(mn, candidates[i], k)
+            obj = _rank_one_objective(mn, refined, k)
+            if best is None or obj < best[0]:
+                best = (obj, refined)
+        h = best[1]
 
     h = _canonical_sign(h) * np.sqrt(scale)
     return VectorEstimate(h_hat=h, top_eigenvalue=lam * scale,

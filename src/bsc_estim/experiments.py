@@ -51,7 +51,10 @@ from .channel import (
 from .estimators import LMMSE, LS
 from .optimizer import joint_optimize_grid, optimal_ta, optimal_ta_grid
 from .snr import (
+    closed_forms_finite,
+    closed_forms_finite_grid,
     mc_metrics,
+    mc_snr_scale,
     snr_approx,
     snr_approx_grid,
     snr_isotropic,
@@ -101,6 +104,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated run.  Its run settings are checked whenever one is built,
+    so ``dataclasses.replace`` holds a CLI override to the config's rules."""
+
     params: SystemParams
     pilot: PilotConfig
     sweep: str
@@ -111,6 +117,12 @@ class ExperimentConfig:
     output_path: str
     workers: int
     has_prior_stats: bool
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.workers < 0:
+            raise ConfigError(f"workers must be >= 0 (0 = auto), got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -226,24 +238,18 @@ def load_config(path: str) -> ExperimentConfig:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep_grid must be strictly increasing")
     _check_grid(sweep, grid, params, pilot.ce_time)
-
-    trials = merged["trials"]
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    workers = merged["workers"]
-    if workers < 0:
-        raise ConfigError(f"workers must be >= 0 (0 = auto), got {workers}")
+    _check_float_range(sweep, grid, params, pilot.ce_time)
 
     return ExperimentConfig(
         params=params,
         pilot=pilot,
         sweep=sweep,
         sweep_grid=tuple(grid),
-        trials=trials,
+        trials=merged["trials"],
         seed=merged["seed"],
         estimator=estimator,
         output_path=merged["output_path"],
-        workers=workers,
+        workers=merged["workers"],
         has_prior_stats=merged["has_prior_stats"],
     )
 
@@ -288,6 +294,38 @@ def _check_grid(sweep: str, grid: list[float], params: SystemParams,
         return
     if bad:
         raise ConfigError(f"{sweep} sweep_grid values must be {want}, got {bad}")
+
+
+def _check_float_range(sweep: str, grid: list[float], params: SystemParams,
+                       ce_time: float) -> None:
+    """Reject a config whose SNRs would overflow, before any point runs.
+
+    Covers the closed forms at every sweep point and at the configured
+    design point, which ``optimize`` reports, and the Monte Carlo SNR scale
+    of every training time a Monte Carlo sweep runs.  The closed-form bound
+    holds at every training time and pilot count, so no optimizer runs here.
+    """
+    if sweep == "N_SWEEP":
+        ok = closed_forms_finite_grid(
+            ParamGrid.over_antennas(params, [int(v) for v in grid])).tolist()
+    elif sweep in ("JOINT", "COMPARE"):
+        ok = closed_forms_finite_grid(ParamGrid.over_ranges(params, grid)).tolist()
+    elif sweep == "SNR_SWEEP":
+        ok = []
+        for v in grid:
+            point = _params_for_ce_snr_db(params, ce_time, v)
+            ok.append(closed_forms_finite(point)
+                      and math.isfinite(mc_snr_scale(point, ce_time)))
+    elif sweep == "TAU_SWEEP":  # points at or past tau run no trials
+        ok = [v >= params.coherence_time or math.isfinite(mc_snr_scale(params, v))
+              for v in grid]
+    else:
+        ok = [math.isfinite(mc_snr_scale(params, ce_time))] * len(grid)
+    bad = [v for v, fine in zip(grid, ok) if not fine]
+    if bad:
+        raise ConfigError(f"{sweep} SNRs overflow at sweep_grid values {bad}")
+    if not closed_forms_finite(params):
+        raise ConfigError("the closed-form SNRs overflow at the configured design point")
 
 
 def _flavors(cfg: ExperimentConfig) -> tuple[str, ...]:

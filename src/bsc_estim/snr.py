@@ -41,7 +41,6 @@ from .channel import (
 from .estimators import (
     LMMSE,
     LS,
-    _pilot_energy,
     lmmse_matrix,
     ls_matrix,
     vector_estimate,
@@ -70,6 +69,11 @@ class McEstimate:
 # arrays: the scalar function passes params.beta ** 2 and params.n_antennas,
 # its *_grid form the ParamGrid's beta_sq and n_antennas, so every grid entry
 # equals the scalar function at that point bit for bit.
+
+def _decoding_scale(p: SystemParams, beta_sq, t):
+    """t p_t a_id^2 beta^2 / N0: decoding SNR per unit array gain of a slot t."""
+    return t * p.tx_power * p.tag_amp_id ** 2 * beta_sq / p.noise_var
+
 
 def _ce_snr(p: SystemParams, beta_sq, tau_c):
     return beta_sq * p.tag_amp_ce ** 2 * p.tx_power * tau_c / p.noise_var
@@ -100,8 +104,7 @@ def snr_perfect_csi_grid(grid: ParamGrid) -> np.ndarray:
 
 
 def _snr_isotropic(p: SystemParams, beta_sq):
-    return (2.0 * p.coherence_time * p.tx_power
-            * p.tag_amp_id ** 2 * beta_sq / p.noise_var)
+    return _decoding_scale(p, beta_sq, 2.0 * p.coherence_time)
 
 
 def snr_isotropic(params: SystemParams) -> float:
@@ -119,13 +122,15 @@ def _shape_coefficients(n):
     return (n - 1) * (n - 2), 4.0 * (n - 1)
 
 
+def _shape(n, rho):
+    a, b = _shape_coefficients(n)
+    return a / rho + b / np.sqrt(rho) + 2.0
+
+
 def _snr_approx(p: SystemParams, beta_sq, n, tau_c, pilot_count):
     rho = 1.0 + (p.noise_var * pilot_count
                  / (beta_sq * p.tag_amp_ce ** 2 * p.tx_power * tau_c))
-    a, b = _shape_coefficients(n)
-    shape = a / rho + b / np.sqrt(rho) + 2.0
-    return ((p.coherence_time - tau_c) * p.tx_power
-            * p.tag_amp_id ** 2 * beta_sq / p.noise_var) * shape
+    return _decoding_scale(p, beta_sq, p.coherence_time - tau_c) * _shape(n, rho)
 
 
 def snr_approx(tau_c: float, pilot_count: int, params: SystemParams) -> float:
@@ -161,6 +166,28 @@ def snr_approx_grid(tau_c, pilot_count, grid: ParamGrid) -> np.ndarray:
     if not np.all((1 <= k) & (k <= n)):
         raise ValueError("pilot_count outside [1, n_antennas]")
     return _snr_approx(p, grid.beta_sq, n, tau_c, k)
+
+
+def _closed_forms_finite(p: SystemParams, beta_sq, n):
+    # snr_approx never exceeds its value with the whole block left for
+    # decoding (tau - tau_c <= tau) at rho = 1 (rho >= 1).  Every rounded
+    # step is monotone, so that ceiling bounds each of its intermediate
+    # products too, at every training time and pilot count.
+    with np.errstate(over="ignore"):
+        ceiling = _decoding_scale(p, beta_sq, p.coherence_time) * _shape(n, 1.0)
+        return (np.isfinite(ceiling) & np.isfinite(_snr_isotropic(p, beta_sq))
+                & np.isfinite(_snr_perfect_csi(p, beta_sq, n)))
+
+
+def closed_forms_finite(params: SystemParams) -> bool:
+    """Whether :func:`snr_perfect_csi`, :func:`snr_isotropic` and
+    :func:`snr_approx` at every training time and pilot count are finite."""
+    return bool(_closed_forms_finite(params, params.beta ** 2, params.n_antennas))
+
+
+def closed_forms_finite_grid(grid: ParamGrid) -> np.ndarray:
+    """:func:`closed_forms_finite` at every point of ``grid``."""
+    return _closed_forms_finite(grid.params, grid.beta_sq, grid.n_antennas)
 
 
 def approx_moments(flavor: str, cfg: PilotConfig, params: SystemParams,
@@ -302,18 +329,16 @@ def _trial_chunk(args) -> dict[tuple[str, str], list[float]]:
     (params, cfg, flavors, seed, t_lo, t_hi, metrics) = args
     k = cfg.pilot_count
     pilots = build_pilots(k, cfg.ce_time, params.tx_power)
-    # the E0 that ls_matrix divides by
-    e0 = _pilot_energy(params.tag_amp_ce * pilots)
     needs_vector = any(m != "mse_mat" for m in metrics)
     out = {(f, m): [] for f in flavors for m in metrics}
     for t in range(t_lo, t_hi):
         chan = draw_channel(params, (seed, t, 0), pilot_count=k)
         rx = backscatter(chan, pilots, params.tag_amp_ce, params.noise_var,
                          (seed, t, 1))
-        est_ls = ls_matrix(rx, cfg)
+        est_ls = ls_matrix(rx)
         for flavor in flavors:
             est = (est_ls if flavor == LS
-                   else lmmse_matrix(est_ls, params.beta, e0, params.noise_var))
+                   else lmmse_matrix(est_ls, params.beta, params.noise_var))
             if "mse_mat" in metrics:
                 out[flavor, "mse_mat"].append(
                     float(np.linalg.norm(est.h_hat_matrix - chan.cascaded) ** 2))
@@ -384,6 +409,14 @@ def _mean_stderr(samples: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def mc_snr_scale(params: SystemParams, ce_time: float) -> float:
+    """(tau - tau_c) p_t a_id^2 / N0, which turns the mean per-trial ``snr``
+    sample into a decoding SNR.  The samples carry the channel gain, so
+    this is the decoding scale at beta^2 = 1, and the exact factor 1.0
+    leaves its bits as the plain product gives them."""
+    return _decoding_scale(params, 1.0, params.coherence_time - ce_time)
+
+
 def mc_metrics(params: SystemParams, cfg: PilotConfig, flavors: tuple[str, ...],
                trials: int, seed: int, metrics: tuple[str, ...],
                workers: int = 1) -> dict[tuple[str, str], McEstimate]:
@@ -407,8 +440,7 @@ def mc_metrics(params: SystemParams, cfg: PilotConfig, flavors: tuple[str, ...],
     samples = _mc_samples(params, cfg, flavors, trials, seed, metrics, workers)
     scale = {
         "p_r": params.tx_power,
-        "snr": ((params.coherence_time - cfg.ce_time) * params.tx_power
-                * params.tag_amp_id ** 2 / params.noise_var),
+        "snr": mc_snr_scale(params, cfg.ce_time),
         "mse_vec": 1.0,
         "mse_mat": 1.0,
     }

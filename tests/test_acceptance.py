@@ -49,7 +49,7 @@ def test_c01_noiseless_exact_recovery():
         for k in sorted({1, (n + 1) // 2, n}):
             for _ in range(100):
                 h = random_channel_vector(rng, n)
-                est = MatrixEstimate(np.outer(h, h[:k]), LS, PilotConfig(k, 1e-4))
+                est = MatrixEstimate(np.outer(h, h[:k]), LS, pilot_energy=1.0)
                 v = vector_estimate(est)
                 err = min(np.linalg.norm(v.h_hat - h),
                           np.linalg.norm(v.h_hat + h)) / np.linalg.norm(h)
@@ -73,7 +73,7 @@ def test_c02_brute_force_ls_oracle():
                 noise = math.sqrt(k / 2.0) * (
                     rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
                 m = np.outer(h, h[:k]) + noise
-                v = vector_estimate(MatrixEstimate(m, LS, PilotConfig(k, 1e-4)))
+                v = vector_estimate(MatrixEstimate(m, LS, pilot_energy=1.0))
                 oracle = brute_force_min(m, n_starts=50, seed=1000 + trial)
                 gap = (v.objective - oracle) / np.linalg.norm(m) ** 2
                 worst_gap = max(worst_gap, gap)

@@ -16,8 +16,8 @@ from bsc_estim import estimators
 from bsc_estim.estimators import (
     MatrixEstimate,
     _candidate,
+    _eigen_head,
     _head_single_pilot,
-    _pilot_energy,
     _reduction_candidates,
     _takagi_pair,
     lmmse_gain,
@@ -35,21 +35,24 @@ from _oracles import (
 )
 
 
+# Pilot energy of hand-built LS estimates; vector_estimate does not read it.
+E0 = 1.0
+
+
 def _noisy_estimate(rng, n, k, noise_scale, beta=1.0):
     """Unit-scale matrix estimate: rank-one truth plus white complex noise."""
     h = random_channel_vector(rng, n, beta)
     truth = np.outer(h, h[:k])
     noise = noise_scale * (rng.standard_normal((n, k))
                            + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
-    return h, MatrixEstimate(h_hat_matrix=truth + noise, flavor=LS,
-                             pilot_config=PilotConfig(k, 1e-4))
+    return h, MatrixEstimate(h_hat_matrix=truth + noise, flavor=LS, pilot_energy=E0)
 
 
 def _eigenpath_oracle(m):
     """Top eigenpair of the 2K x 2K realified head: (h, eigenvalue, objective)."""
     scale = np.linalg.norm(m)
     lam, v = _reduction_candidates(m / scale, m.shape[1])[0]
-    h = _candidate(m / scale, lam, v) * np.sqrt(scale)
+    h = _candidate(m / scale, lam, _eigen_head(lam, v)) * np.sqrt(scale)
     return h, lam * scale, rank_one_objective(m, h)
 
 
@@ -66,7 +69,7 @@ class TestLsMatrix:
         params, chan, rx, cfg = _rx_at_ce_snr(0.0, 3, seed=1, n=5)
         rx_clean = backscatter(chan, build_pilots(3, 1e-4, 1.0),
                                params.tag_amp_ce, 0.0, 0)
-        est = ls_matrix(rx_clean, cfg)
+        est = ls_matrix(rx_clean)
         assert est.flavor == LS
         assert np.allclose(est.h_hat_matrix, chan.cascaded, rtol=1e-12, atol=0)
 
@@ -81,7 +84,7 @@ class TestLsMatrix:
             chan = draw_channel(params, (11, t, 0), pilot_count=k)
             rx = backscatter(chan, pilots, params.tag_amp_ce, params.noise_var,
                              (11, t, 1))
-            est = ls_matrix(rx, cfg)
+            est = ls_matrix(rx)
             total += np.linalg.norm(est.h_hat_matrix - chan.cascaded) ** 2
         assert total / trials == pytest.approx(n * k * params.noise_var / e0, rel=0.03)
 
@@ -90,14 +93,13 @@ class TestLsMatrix:
         params = make_params(n_antennas=n, noise_var=1e-18)
 
         def error_energy(tau_c):
-            cfg = PilotConfig(k, tau_c)
             pilots = build_pilots(k, tau_c, params.tx_power)
             total = 0.0
             for t in range(trials):
                 chan = draw_channel(params, (13, t, 0), pilot_count=k)
                 rx = backscatter(chan, pilots, params.tag_amp_ce,
                                  params.noise_var, (13, t, 1))
-                total += np.linalg.norm(ls_matrix(rx, cfg).h_hat_matrix
+                total += np.linalg.norm(ls_matrix(rx).h_hat_matrix
                                         - chan.cascaded) ** 2
             return total / trials
 
@@ -106,9 +108,9 @@ class TestLsMatrix:
     def test_zero_pilot_energy_rejected(self):
         from bsc_estim.channel import ReceivedSignal
         rx = ReceivedSignal(y=np.zeros((3, 2), complex),
-                            pilot_scaled=np.zeros((2, 2), complex), noise_var=1e-20)
+                            pilot_scaled=np.zeros((2, 2), complex))
         with pytest.raises(ValueError):
-            ls_matrix(rx, PilotConfig(2, 1e-4))
+            ls_matrix(rx)
 
 
 class TestPriorCovariance:
@@ -158,12 +160,11 @@ class TestLmmseMatrix:
                 3, cfg.ce_time, params.tx_power)
             rx = backscatter(chan, pilots, params.tag_amp_ce, params.noise_var,
                              (21, 2))
-            ls = ls_matrix(rx, cfg)
-            est = lmmse_matrix(ls, params.beta, cfg.pilot_energy(params),
-                               params.noise_var)
+            ls = ls_matrix(rx)
+            est = lmmse_matrix(ls, params.beta, params.noise_var)
             assert est.flavor == LMMSE
             expected = lmmse_spectral(ls.h_hat_matrix, 3, params.beta,
-                                      cfg.pilot_energy(params), params.noise_var)
+                                      ls.pilot_energy, params.noise_var)
             assert np.linalg.norm(est.h_hat_matrix - expected) \
                 <= 1e-10 * np.linalg.norm(expected)
 
@@ -180,8 +181,7 @@ class TestLmmseMatrix:
             gain = lmmse_gain(rx.pilot_scaled, prior_covariance(params.beta, n, k),
                               params.noise_var)
             dense = (gain @ rx.y.ravel(order="F")).reshape((n, k), order="F")
-            est = lmmse_matrix(ls_matrix(rx, cfg), params.beta,
-                               _pilot_energy(rx.pilot_scaled), params.noise_var)
+            est = lmmse_matrix(ls_matrix(rx), params.beta, params.noise_var)
             assert np.linalg.norm(est.h_hat_matrix - dense) \
                 <= 1e-10 * np.linalg.norm(dense), gamma_e_db
 
@@ -193,16 +193,15 @@ class TestLmmseMatrix:
         chan = draw_channel(params, 31, pilot_count=k)
         pilots = build_pilots(k, cfg.ce_time, params.tx_power)
         rx = backscatter(chan, pilots, params.tag_amp_ce, tiny, 32)
-        ls = ls_matrix(rx, cfg)
-        mm = lmmse_matrix(ls, params.beta, cfg.pilot_energy(params), tiny).h_hat_matrix
+        ls = ls_matrix(rx)
+        mm = lmmse_matrix(ls, params.beta, tiny).h_hat_matrix
         assert np.linalg.norm(mm - ls.h_hat_matrix) \
             <= 1e-6 * np.linalg.norm(ls.h_hat_matrix)
 
     def test_zero_prior_zeroes_estimate(self):
         params, chan, rx, cfg = _rx_at_ce_snr(10.0, 2, seed=33, n=4)
-        ls = ls_matrix(rx, cfg)
-        mm = lmmse_matrix(ls, 1e-12 * params.beta, cfg.pilot_energy(params),
-                          params.noise_var).h_hat_matrix
+        ls = ls_matrix(rx)
+        mm = lmmse_matrix(ls, 1e-12 * params.beta, params.noise_var).h_hat_matrix
         assert np.linalg.norm(mm) <= 1e-6 * np.linalg.norm(ls.h_hat_matrix)
 
     def test_paired_mse_beats_ls_at_unity_ce_snr(self):
@@ -221,19 +220,17 @@ class TestLmmseMatrix:
     def test_rejects_nonpositive_noise(self):
         params, chan, rx, cfg = _rx_at_ce_snr(0.0, 2, seed=51, n=3)
         with pytest.raises(ValueError):
-            lmmse_matrix(ls_matrix(rx, cfg), params.beta,
-                         cfg.pilot_energy(params), 0.0)
+            lmmse_matrix(ls_matrix(rx), params.beta, 0.0)
 
     def test_rejects_nonpositive_beta_and_non_ls_input(self):
         params, chan, rx, cfg = _rx_at_ce_snr(0.0, 2, seed=52, n=3)
-        ls = ls_matrix(rx, cfg)
-        e0 = cfg.pilot_energy(params)
+        ls = ls_matrix(rx)
         for beta in (0.0, -params.beta):
             with pytest.raises(ValueError, match="beta"):
-                lmmse_matrix(ls, beta, e0, params.noise_var)
-        mm = lmmse_matrix(ls, params.beta, e0, params.noise_var)
+                lmmse_matrix(ls, beta, params.noise_var)
+        mm = lmmse_matrix(ls, params.beta, params.noise_var)
         with pytest.raises(ValueError, match="LS estimate"):
-            lmmse_matrix(mm, params.beta, e0, params.noise_var)
+            lmmse_matrix(mm, params.beta, params.noise_var)
 
 
 class TestVectorEstimate:
@@ -242,7 +239,7 @@ class TestVectorEstimate:
         for n in [1, 2, 3, 5, 8, 13, 21, 32]:
             for k in {1, (n + 1) // 2, n}:
                 h = random_channel_vector(rng, n)
-                est = MatrixEstimate(np.outer(h, h[:k]), LS, PilotConfig(k, 1e-4))
+                est = MatrixEstimate(np.outer(h, h[:k]), LS, E0)
                 v = vector_estimate(est)
                 err = min(np.linalg.norm(v.h_hat - h), np.linalg.norm(v.h_hat + h))
                 assert err <= 1e-8 * np.linalg.norm(h), (n, k)
@@ -253,7 +250,7 @@ class TestVectorEstimate:
     def test_noiseless_tail_from_linear_map(self):
         rng = np.random.default_rng(62)
         h = random_channel_vector(rng, 3)
-        est = MatrixEstimate(np.outer(h, h[:1]), LS, PilotConfig(1, 1e-4))
+        est = MatrixEstimate(np.outer(h, h[:1]), LS, E0)
         v = vector_estimate(est)
         err = min(np.linalg.norm(v.h_hat - h), np.linalg.norm(v.h_hat + h))
         assert err <= 1e-10 * np.linalg.norm(h)
@@ -291,9 +288,8 @@ class TestVectorEstimate:
                 chan = draw_channel(params, (1206, t, 0), pilot_count=k)
                 rx = backscatter(chan, pilots, params.tag_amp_ce,
                                  params.noise_var, (1206, t, 1))
-                ls = ls_matrix(rx, cfg)
-                mm = lmmse_matrix(ls, params.beta, _pilot_energy(rx.pilot_scaled),
-                                  params.noise_var)
+                ls = ls_matrix(rx)
+                mm = lmmse_matrix(ls, params.beta, params.noise_var)
                 for est in (ls, mm):
                     scale = np.linalg.norm(est.h_hat_matrix) ** 2
                     oracle = brute_force_min(est.h_hat_matrix / np.sqrt(scale),
@@ -323,7 +319,7 @@ class TestVectorEstimate:
             m = (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1)))
             head_fast, lam_fast = _head_single_pilot(m)
             lam_gen, v = _reduction_candidates(m, 1)[0]
-            head_gen = _candidate(m, lam_gen, v)[:1]
+            head_gen = _eigen_head(lam_gen, v)
             assert lam_fast == pytest.approx(lam_gen, rel=1e-9)
             err = min(np.linalg.norm(head_fast - head_gen),
                       np.linalg.norm(head_fast + head_gen))
@@ -341,10 +337,8 @@ class TestVectorEstimate:
                     chan = draw_channel(params, (606, t, 0), pilot_count=n)
                     rx = backscatter(chan, pilots, params.tag_amp_ce,
                                      params.noise_var, (606, t, 1))
-                    ls = ls_matrix(rx, cfg)
-                    mm = lmmse_matrix(ls, params.beta,
-                                      _pilot_energy(rx.pilot_scaled),
-                                      params.noise_var)
+                    ls = ls_matrix(rx)
+                    mm = lmmse_matrix(ls, params.beta, params.noise_var)
                     for est in (ls, mm):
                         case = (n, gamma_e_db, t, est.flavor)
                         got = vector_estimate(est)
@@ -366,7 +360,7 @@ class TestVectorEstimate:
         sigma[:2] = 1.0
         m = ((q * sigma) @ q.T).conj() / 2.0
         assert _takagi_pair(m / np.linalg.norm(m)) is None
-        got = vector_estimate(MatrixEstimate(m, LS, PilotConfig(n, 1e-4)))
+        got = vector_estimate(MatrixEstimate(m, LS, E0))
         _, lam, obj = _eigenpath_oracle(m)
         assert got.top_eigenvalue == pytest.approx(lam, rel=1e-12)
         assert got.objective == pytest.approx(obj, rel=1e-12)
@@ -375,13 +369,13 @@ class TestVectorEstimate:
         # conj(M) + conj(M)^T = 0 exactly: no rank-one direction to recover
         rng = np.random.default_rng(608)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        v = vector_estimate(MatrixEstimate(a - a.T, LS, PilotConfig(4, 1e-4)))
+        v = vector_estimate(MatrixEstimate(a - a.T, LS, E0))
         assert v.degenerate
         assert np.all(v.h_hat == 0)
 
     def test_degenerate_zero_input(self):
         for n, k in [(3, 2), (4, 4)]:
-            est = MatrixEstimate(np.zeros((n, k), complex), LS, PilotConfig(k, 1e-4))
+            est = MatrixEstimate(np.zeros((n, k), complex), LS, E0)
             v = vector_estimate(est)
             assert v.degenerate
             assert np.all(v.h_hat == 0)
@@ -390,7 +384,7 @@ class TestVectorEstimate:
         rng = np.random.default_rng(67)
         for _ in range(10):
             h = random_channel_vector(rng, 4)
-            est = MatrixEstimate(np.outer(h, h[:2]), LS, PilotConfig(2, 1e-4))
+            est = MatrixEstimate(np.outer(h, h[:2]), LS, E0)
             v = vector_estimate(est)
             lead = next(x for x in v.h_hat
                         if abs(x) > 1e-12 * np.linalg.norm(v.h_hat))
@@ -414,8 +408,8 @@ class TestVectorEstimate:
         noise = 1e-9 * (rng.standard_normal((4, 2))
                         + 1j * rng.standard_normal((4, 2)))
         m = np.outer(h, h[:2]) + 1e-9 * noise
-        v_small = vector_estimate(MatrixEstimate(m, LS, PilotConfig(2, 1e-4)))
-        v_big = vector_estimate(MatrixEstimate(m * 1e12, LS, PilotConfig(2, 1e-4)))
+        v_small = vector_estimate(MatrixEstimate(m, LS, E0))
+        v_big = vector_estimate(MatrixEstimate(m * 1e12, LS, E0))
         assert v_big.h_hat == pytest.approx(v_small.h_hat * 1e6, rel=1e-9)
 
     def test_refinement_bitwise_equal_to_reference(self, monkeypatch):
@@ -430,7 +424,7 @@ class TestVectorEstimate:
                     chan = draw_channel(params, (2024, t, 0), pilot_count=k)
                     rx = backscatter(chan, pilots, params.tag_amp_ce,
                                      params.noise_var, (2024, t, 1))
-                    corpus.append(ls_matrix(rx, PilotConfig(k, 1e-4)))
+                    corpus.append(ls_matrix(rx))
         fast = [vector_estimate(est) for est in corpus]
 
         refined = []

@@ -347,6 +347,32 @@ class TestCli:
             f"blas_threads_per_process={threads}"]
         assert captured.out == f"wrote 16 rows to {out}\n"
 
+    def test_workers_override_zero_means_auto(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cfg = _write(tmp_path, """
+            n_antennas = 3
+            trials = 8
+            sweep_grid = 0
+            estimator = LS
+        """)
+        out = tmp_path / "rows.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out),
+                         "--workers", "0"]) == 0
+        assert "bsc-estim run: workers=1," in capsys.readouterr().err
+        assert out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--trials", "0", "trials must be >= 1, got 0"),
+        ("--workers", "-1", "workers must be >= 0 (0 = auto), got -1"),
+    ])
+    def test_override_follows_config_rule(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "rows.csv"
+        rc = cli.main(["run", "--config", _write(tmp_path, "trials = 3\n"),
+                       "--out", str(out), flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_validation_error_exit_one(self, tmp_path):
         cfg = _write(tmp_path, "trials = 0\n")
         res = run_cli("run", "--config", cfg)
@@ -391,6 +417,10 @@ class TestCli:
         "beta = 1e-200", "distance = 1e79",
         # a subnormal float
         "noise_var = 1e-320",
+        # the design's SNR overflows (it printed Infinity) or underflows to
+        # zero (it printed -Infinity dB)
+        "n_antennas = 20\ntx_power = 1e306\nsweep = COMPARE\nsweep_grid = 60, 100",
+        "tx_power = 1e306", "noise_var = 1e306",
     ])
     def test_non_finite_input_fails_at_load(self, tmp_path, line):
         res = run_cli("optimize", "--config", _write(tmp_path, line + "\n"))
@@ -432,6 +462,14 @@ class TestCli:
         # whose 10 ** (dB / 10) under- or overflows
         "n_antennas = 2\nsweep = SNR_SWEEP\nsweep_grid = 0, 3000\n",
         "n_antennas = 2\nsweep = SNR_SWEEP\nsweep_grid = -4000, 0, 4000\n",
+        # SNRs past float range: the closed forms, and the Monte Carlo scale
+        # (tau - tau_c) p_t a_id^2 / N0 where snr_approx is finite
+        "n_antennas = 20\ntx_power = 1e306\nsweep = COMPARE\nsweep_grid = 60, 100\n",
+        "n_antennas = 4\ntx_power = 1e306\nsweep = K_SWEEP\ntrials = 4\n"
+        "sweep_grid = 1, 4\n",
+        # snr_perfect rounds to the largest float, snr_fixed at tau_c -> 0 past it
+        "n_antennas = 3\ntx_power = 3.233325267445485e307\nce_time = 1e-25\n"
+        "sweep = N_SWEEP\nsweep_grid = 3\n",
     ])
     def test_grid_outside_sweep_domain_fails_at_load(self, tmp_path, capsys, body):
         cfg = _write(tmp_path, "trials = 3\nestimator = LS\n" + body)

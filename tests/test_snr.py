@@ -230,7 +230,7 @@ class TestApproxMoments:
         chan = draw_channel(p, (5, 0), pilot_count=8)
         rx = backscatter(chan, build_pilots(8, 1e-4, p.tx_power),
                          p.tag_amp_ce, p.noise_var, (5, 1))
-        h_hat = vector_estimate(ls_matrix(rx, cfg)).h_hat
+        h_hat = vector_estimate(ls_matrix(rx)).h_hat
         nh = np.linalg.norm(h_hat)
         mom = approx_moments(LS, cfg, p, nh)
         ratio = mom.mu / nh
