@@ -5,23 +5,68 @@ single-antenna tag over a reciprocal Rayleigh block-fading link.  During the
 training phase the first ``pilot_count`` antennas radiate mutually orthogonal
 pilots; the tag holds a fixed reflection state, and the reader observes the
 rank-one cascaded channel through the backscattered pilot block.
+
+Operating envelope.  Every physical input lies in the closed interval of its
+:data:`ENVELOPE` row: :class:`SystemParams` checks its own fields, and
+``experiments.load_config`` checks ``tx_power_dbm`` before converting it,
+the training slot, every sweep grid value, and each SNR_SWEEP point's
+derived noise.  A derived gain (c / 4 pi f)**2 / d**rho then lies in
+[5.7e-46, 5.7e14], inside the ``beta`` row.  A training slot tau_c lies in
+[1e-18, tau): at least 1e-12 (its row) or 1e-12 tau (the optimizer's
+bracket), so tau - tau_c >= 2**-54 tau.  With N(N+1) <= 1.0001e8, the
+products the package forms then lie in
+
+  decoding SNRs (snr_approx, snr_isotropic, snr_perfect_csi)  [4e-144, 1e106]
+  Monte Carlo scale (tau - tau_c) p_t a_id**2 / N0            [2e-44, 1e68]
+  p_r_perfect = N p_t beta                                    [1e-60, 1e25]
+  ce_snr = beta**2 a0**2 p_t tau_c / N0                       [1e-140, 1e98]
+  q = N0 K / (beta**2 a0**2 p_t), and q / tau_c**2            [1e-96, 1e162]
+  derived noise beta**2 a0**2 p_t tau_c / 10**(dB / 10)       [1e-150, 1e48]
+
+and so do their partial products: every one is a positive normal float,
+over 140 decades from either end of the float range.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 # Nominal propagation speed used by the link-budget convention (not CODATA c).
 SPEED_OF_LIGHT = 3.0e8
 
-# Largest array size of a ParamGrid point: up to it, (N - 1)**2 and
-# (N - 1)(N - 2) are exact in int64, as they are in the scalar forms'
-# Python ints, so the array forms round as the scalar ones do.
-MAX_GRID_ANTENNAS = math.isqrt(2 ** 63 - 1) + 1
+# The operating envelope: (lowest, highest) accepted value of each physical
+# input, in SI units.  Wide enough for the paper's setups and beyond; narrow
+# enough for the bound in the module docstring.
+ENVELOPE = {
+    "n_antennas": (1, 10_000),
+    "tx_power": (1e-10, 1e6),            # W; -60 dBm converts to just under 1e-9
+    "tx_power_dbm": (-60.0, 90.0),
+    "coherence_time": (1e-6, 1e2),       # tau
+    "sample_len": (1e-12, 1e2),
+    "ce_time": (1e-12, 1e2),             # tau_c, and TAU_SWEEP grid values
+    "tag_amp_ce": (1e-6, 1.0),
+    "tag_amp_id": (1e-6, 1.0),
+    "noise_var": (1e-60, 1.0),           # J
+    "beta": (1e-50, 1e15),               # given, or derived from the next three
+    "carrier_freq": (1e6, 1e12),         # Hz
+    "distance": (1e-2, 1e6),             # m
+    "pathloss_exp": (1.0, 6.0),
+    "training_snr_db": (-100.0, 100.0),  # SNR_SWEEP grid values
+}
+
+
+def check_envelope(name: str, values) -> None:
+    """Raise ValueError unless every value lies in ``ENVELOPE[name]``.
+
+    NaN lies in no row, so it fails too.
+    """
+    lo, hi = ENVELOPE[name]
+    bad = [v for v in values if not lo <= v <= hi]
+    if bad:
+        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {bad}")
 
 
 def path_loss_beta(freq_hz: float, distance_m: float, exponent: float) -> float:
@@ -57,9 +102,8 @@ class SystemParams:
     powers in watts and the noise variance in joules, so products such as
     ``tx_power * coherence_time / noise_var`` are dimensionless.
 
-    Every float field must be a positive normal float, and so must
-    ``beta ** 2`` (:func:`gain_squared`): a subnormal noise level or gain
-    square leaves the SNR formulas that divide by it infinite.
+    Every field lies in its :data:`ENVELOPE` row.  A derived ``beta``
+    lies in its row whenever the carrier, range and exponent lie in theirs.
     """
 
     n_antennas: int
@@ -75,65 +119,35 @@ class SystemParams:
     beta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_antennas < 1:
-            raise ValueError(f"n_antennas must be >= 1, got {self.n_antennas}")
-        for name in ("coherence_time", "sample_len", "tx_power", "noise_var",
-                     "carrier_freq", "distance", "pathloss_exp"):
-            if not sys.float_info.min <= getattr(self, name) < math.inf:
-                raise ValueError(
-                    f"{name} must be a positive normal float, got {getattr(self, name)}")
-        for name in ("tag_amp_ce", "tag_amp_id"):
-            v = getattr(self, name)
-            if not sys.float_info.min <= v <= 1:
-                raise ValueError(f"{name} must be a normal float in (0, 1], got {v}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None:
+                check_envelope(field.name, [value])
         if self.beta is None:
             object.__setattr__(self, "beta", path_loss_beta(
                 self.carrier_freq, self.distance, self.pathloss_exp))
-        gain_squared(self.beta)
-
-
-def gain_squared(beta: float) -> float:
-    """``beta ** 2`` as the scalar formulas square it.
-
-    Raises ValueError unless it is a positive normal float: a square that
-    underflows leaves the training SNR terms dividing by zero or by a
-    subnormal, and one that overflows leaves them infinite.
-    """
-    try:
-        sq = beta ** 2
-    except OverflowError:
-        sq = math.inf
-    if not (beta > 0 and sys.float_info.min <= sq < math.inf):
-        raise ValueError(f"beta ** 2 is not a positive normal float for beta={beta}")
-    return sq
 
 
 class ParamGrid:
     """Sweep points that share one :class:`SystemParams` except for the
     path-loss gain or the array size.
 
-    Point i is ``params`` with ``beta[i]`` and ``n_antennas[i]``, where
-    n_antennas[i] <= MAX_GRID_ANTENNAS and ``beta_sq[i]``, the
-    :func:`gain_squared` of ``beta[i]``, is a positive normal float.  Array
-    formulas built on ``beta_sq`` round exactly as the scalar ones do.
+    Point i is ``params`` with ``beta[i]`` and ``n_antennas[i]``; callers
+    keep both inside the operating envelope, as ``load_config`` does.
+    ``beta_sq[i]`` is ``beta[i] ** 2`` as the scalar formulas square it, so
+    array formulas built on ``beta_sq`` round exactly as the scalar ones do.
     """
 
     def __init__(self, params: SystemParams, beta, n_antennas) -> None:
         beta = np.asarray(beta, dtype=float)
-        try:
-            n = np.asarray(n_antennas, dtype=np.int64)
-        except OverflowError:
-            n = np.array([-1])
-        if n.ndim != 1 or np.any((n < 1) | (n > MAX_GRID_ANTENNAS)):
-            raise ValueError(
-                f"every n_antennas must lie in [1, {MAX_GRID_ANTENNAS}]")
-        if beta.shape != n.shape:
+        n = np.asarray(n_antennas, dtype=np.int64)
+        if n.ndim != 1 or beta.shape != n.shape:
             raise ValueError(f"beta {beta.shape} and n_antennas {n.shape} "
                              "must be vectors of one length")
         self.params = params
         self.beta = beta                                  # float (P,)
         self.n_antennas = n                               # int (P,)
-        self.beta_sq = np.array([gain_squared(b) for b in beta.tolist()])
+        self.beta_sq = np.array([b ** 2 for b in beta.tolist()])
 
     @classmethod
     def over_ranges(cls, params: SystemParams, distances) -> "ParamGrid":

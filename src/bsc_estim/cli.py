@@ -113,10 +113,6 @@ def _cmd_optimize(args) -> int:
     except Exception as exc:  # noqa: BLE001
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    # load_config bounds it above; below, JSON has no -Infinity decibels
-    if not outcome.predicted_snr > 0:
-        print("config error: the predicted SNR underflows to zero", file=sys.stderr)
-        return EXIT_VALIDATION
     print(json.dumps({
         "tau_c_opt": outcome.tau_c_opt,
         "k_opt": outcome.k_opt,

@@ -40,21 +40,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import (
-    MAX_GRID_ANTENNAS,
     ParamGrid,
     PilotConfig,
     SystemParams,
-    gain_squared,
-    path_loss_beta,
+    check_envelope,
     quantize_ce_time,
 )
 from .estimators import LMMSE, LS
 from .optimizer import joint_optimize_grid, optimal_ta, optimal_ta_grid
 from .snr import (
-    closed_forms_finite,
-    closed_forms_finite_grid,
     mc_metrics,
-    mc_snr_scale,
     snr_approx,
     snr_approx_grid,
     snr_isotropic,
@@ -189,10 +184,10 @@ def load_config(path: str) -> ExperimentConfig:
         raw[key] = _parse_value(key, value, lineno)
 
     merged = {**DEFAULTS, **{k: v for k, v in raw.items() if k in DEFAULTS}}
-    if "tx_power_dbm" in raw:
-        merged["tx_power"] = 10.0 ** (float(raw["tx_power_dbm"]) / 10.0) / 1000.0
-
     try:
+        if "tx_power_dbm" in raw:
+            check_envelope("tx_power_dbm", [raw["tx_power_dbm"]])
+            merged["tx_power"] = 10.0 ** (raw["tx_power_dbm"] / 10.0) / 1000.0
         params = SystemParams(
             n_antennas=merged["n_antennas"],
             coherence_time=merged["coherence_time"],
@@ -207,6 +202,7 @@ def load_config(path: str) -> ExperimentConfig:
             beta=raw.get("beta"),
         )
         ce_time = merged["ce_time"]
+        check_envelope("ce_time", [ce_time])
         if raw.get("quantize_ce_time"):
             ce_time = quantize_ce_time(ce_time, params.sample_len)
         # the reference setup trains from every antenna
@@ -233,12 +229,9 @@ def load_config(path: str) -> ExperimentConfig:
             grid = list(DEFAULT_GRIDS[sweep])
     if not grid:
         raise ConfigError("sweep_grid must be nonempty")
-    if not all(np.isfinite(grid)):
-        raise ConfigError("sweep_grid values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep_grid must be strictly increasing")
     _check_grid(sweep, grid, params, pilot.ce_time)
-    _check_float_range(sweep, grid, params, pilot.ce_time)
 
     return ExperimentConfig(
         params=params,
@@ -254,78 +247,37 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
+# The envelope row each sweep kind's grid values lie in.
+_GRID_ROWS = {"SNR_SWEEP": "training_snr_db", "TAU_SWEEP": "ce_time",
+              "K_SWEEP": "n_antennas", "N_SWEEP": "n_antennas",
+              "JOINT": "distance", "COMPARE": "distance"}
+
+
 def _check_grid(sweep: str, grid: list[float], params: SystemParams,
                 ce_time: float) -> None:
     """Reject grid values the sweep kind cannot run, before any point runs.
 
-    The closed-form design sweeps evaluate their whole grid before the first
-    row, so everything their ParamGrid would reject is rejected here.
+    Counts must be whole numbers, every value must lie in its envelope row,
+    and each SNR_SWEEP point's derived noise level in the ``noise_var`` row.
     """
     n_antennas = params.n_antennas
     if sweep == "K_SWEEP":
         bad = [v for v in grid if not (v.is_integer() and 1 <= v <= n_antennas)]
         want = f"integer pilot counts in [1, n_antennas={n_antennas}]"
     elif sweep == "N_SWEEP":
-        bad = [v for v in grid if not (v.is_integer() and 1 <= v <= MAX_GRID_ANTENNAS)]
-        want = f"integer antenna counts in [1, {MAX_GRID_ANTENNAS}]"
-    elif sweep == "TAU_SWEEP":
-        bad = [v for v in grid if v <= 0]
-        want = "positive"
-    elif sweep == "SNR_SWEEP":
-        bad = []
-        for v in grid:
-            try:
-                _params_for_ce_snr_db(params, ce_time, v)
-            except (ArithmeticError, ValueError):
-                bad.append(v)
-        want = "training SNRs whose derived noise level is a positive normal float"
-    elif sweep in ("JOINT", "COMPARE"):
-        if n_antennas > MAX_GRID_ANTENNAS:
-            raise ConfigError(f"{sweep} takes n_antennas <= {MAX_GRID_ANTENNAS}, "
-                              f"got {n_antennas}")
-        bad = []
-        for v in grid:
-            try:
-                gain_squared(path_loss_beta(params.carrier_freq, v, params.pathloss_exp))
-            except ValueError:
-                bad.append(v)
-        want = "positive ranges whose path-loss gain squared is a positive normal float"
+        bad = [v for v in grid if not v.is_integer()]
+        want = "integer antenna counts"
     else:
-        return
+        bad = []
     if bad:
         raise ConfigError(f"{sweep} sweep_grid values must be {want}, got {bad}")
-
-
-def _check_float_range(sweep: str, grid: list[float], params: SystemParams,
-                       ce_time: float) -> None:
-    """Reject a config whose SNRs would overflow, before any point runs.
-
-    Covers the closed forms at every sweep point and at the configured
-    design point, which ``optimize`` reports, and the Monte Carlo SNR scale
-    of every training time a Monte Carlo sweep runs.  The closed-form bound
-    holds at every training time and pilot count, so no optimizer runs here.
-    """
-    if sweep == "N_SWEEP":
-        ok = closed_forms_finite_grid(
-            ParamGrid.over_antennas(params, [int(v) for v in grid])).tolist()
-    elif sweep in ("JOINT", "COMPARE"):
-        ok = closed_forms_finite_grid(ParamGrid.over_ranges(params, grid)).tolist()
-    elif sweep == "SNR_SWEEP":
-        ok = []
-        for v in grid:
-            point = _params_for_ce_snr_db(params, ce_time, v)
-            ok.append(closed_forms_finite(point)
-                      and math.isfinite(mc_snr_scale(point, ce_time)))
-    elif sweep == "TAU_SWEEP":  # points at or past tau run no trials
-        ok = [v >= params.coherence_time or math.isfinite(mc_snr_scale(params, v))
-              for v in grid]
-    else:
-        ok = [math.isfinite(mc_snr_scale(params, ce_time))] * len(grid)
-    bad = [v for v, fine in zip(grid, ok) if not fine]
-    if bad:
-        raise ConfigError(f"{sweep} SNRs overflow at sweep_grid values {bad}")
-    if not closed_forms_finite(params):
-        raise ConfigError("the closed-form SNRs overflow at the configured design point")
+    try:
+        check_envelope(_GRID_ROWS[sweep], grid)
+        if sweep == "SNR_SWEEP":
+            for v in grid:
+                _params_for_ce_snr_db(params, ce_time, v)
+    except ValueError as exc:
+        raise ConfigError(f"{sweep} sweep_grid: {exc}") from exc
 
 
 def _flavors(cfg: ExperimentConfig) -> tuple[str, ...]:

@@ -122,15 +122,12 @@ def _shape_coefficients(n):
     return (n - 1) * (n - 2), 4.0 * (n - 1)
 
 
-def _shape(n, rho):
-    a, b = _shape_coefficients(n)
-    return a / rho + b / np.sqrt(rho) + 2.0
-
-
 def _snr_approx(p: SystemParams, beta_sq, n, tau_c, pilot_count):
     rho = 1.0 + (p.noise_var * pilot_count
                  / (beta_sq * p.tag_amp_ce ** 2 * p.tx_power * tau_c))
-    return _decoding_scale(p, beta_sq, p.coherence_time - tau_c) * _shape(n, rho)
+    a, b = _shape_coefficients(n)
+    return (_decoding_scale(p, beta_sq, p.coherence_time - tau_c)
+            * (a / rho + b / np.sqrt(rho) + 2.0))
 
 
 def snr_approx(tau_c: float, pilot_count: int, params: SystemParams) -> float:
@@ -166,28 +163,6 @@ def snr_approx_grid(tau_c, pilot_count, grid: ParamGrid) -> np.ndarray:
     if not np.all((1 <= k) & (k <= n)):
         raise ValueError("pilot_count outside [1, n_antennas]")
     return _snr_approx(p, grid.beta_sq, n, tau_c, k)
-
-
-def _closed_forms_finite(p: SystemParams, beta_sq, n):
-    # snr_approx never exceeds its value with the whole block left for
-    # decoding (tau - tau_c <= tau) at rho = 1 (rho >= 1).  Every rounded
-    # step is monotone, so that ceiling bounds each of its intermediate
-    # products too, at every training time and pilot count.
-    with np.errstate(over="ignore"):
-        ceiling = _decoding_scale(p, beta_sq, p.coherence_time) * _shape(n, 1.0)
-        return (np.isfinite(ceiling) & np.isfinite(_snr_isotropic(p, beta_sq))
-                & np.isfinite(_snr_perfect_csi(p, beta_sq, n)))
-
-
-def closed_forms_finite(params: SystemParams) -> bool:
-    """Whether :func:`snr_perfect_csi`, :func:`snr_isotropic` and
-    :func:`snr_approx` at every training time and pilot count are finite."""
-    return bool(_closed_forms_finite(params, params.beta ** 2, params.n_antennas))
-
-
-def closed_forms_finite_grid(grid: ParamGrid) -> np.ndarray:
-    """:func:`closed_forms_finite` at every point of ``grid``."""
-    return _closed_forms_finite(grid.params, grid.beta_sq, grid.n_antennas)
 
 
 def approx_moments(flavor: str, cfg: PilotConfig, params: SystemParams,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,18 @@ from bsc_estim import (
     PilotConfig,
     backscatter,
     build_pilots,
+    ce_snr,
     draw_channel,
+    joint_optimize,
     path_loss_beta,
     quantize_ce_time,
+    snr_approx,
+    snr_isotropic,
+    snr_perfect_csi,
 )
-from bsc_estim.channel import MAX_GRID_ANTENNAS, ParamGrid, gain_squared
+from bsc_estim.channel import ENVELOPE, ParamGrid
+from bsc_estim.optimizer import _derivative_terms
+from bsc_estim.snr import mc_snr_scale
 from conftest import make_params
 from _oracles import dft_pilots
 
@@ -53,24 +62,6 @@ class TestPathLoss:
 
 
 class TestParamGrid:
-    def test_antenna_cap_keeps_int64_products_exact(self):
-        n = MAX_GRID_ANTENNAS
-        assert (n - 1) ** 2 <= np.iinfo(np.int64).max < n ** 2
-        base = make_params()
-        assert ParamGrid(base, [1e-8], [n]).n_antennas.tolist() == [n]
-        for bad in (0, n + 1, 2 ** 64):
-            with pytest.raises(ValueError, match="n_antennas"):
-                ParamGrid(base, [1e-8], [bad])
-        # the scalar parameters take any array size
-        assert make_params(n_antennas=n + 1).n_antennas == n + 1
-
-    @pytest.mark.parametrize("beta", [1e-200, 1.4e-154, 1.4e154, -1e-8, float("nan")])
-    def test_rejects_gain_whose_square_is_not_normal(self, beta):
-        with pytest.raises(ValueError, match="positive normal"):
-            gain_squared(beta)
-        with pytest.raises(ValueError, match="positive normal"):
-            ParamGrid(make_params(), [1e-8, beta], [4, 4])
-
     def test_squares_as_the_scalar_formulas(self):
         beta = [path_loss_beta(915e6, d, 2.5) for d in (1.0, 100.0, 1e60)]
         grid = ParamGrid(make_params(), beta, [4, 4, 4])
@@ -100,9 +91,72 @@ class TestSystemParams:
                     dict(beta=1e-200), dict(distance=1e79),
                     # subnormal floats
                     dict(noise_var=1e-320), dict(tx_power=5e-324),
-                    dict(tag_amp_ce=1e-310)):
+                    dict(tag_amp_ce=1e-310),
+                    # gains whose square is subnormal, zero or infinite
+                    dict(beta=1.4e-154), dict(beta=1.4e154), dict(beta=-1e-8),
+                    dict(beta=float("nan"))):
             with pytest.raises(ValueError):
                 make_params(**bad)
+
+
+def _envelope_corners():
+    """Params at every corner of the rows the SNR and power products read."""
+    rows = ("n_antennas", "tx_power", "coherence_time", "tag_amp_ce",
+            "tag_amp_id", "noise_var", "beta")
+    for values in itertools.product(*(ENVELOPE[r] for r in rows)):
+        yield make_params(**dict(zip(rows, values)))
+
+
+class TestEnvelope:
+    """The operating envelope and the bound in the channel module's docstring."""
+
+    def test_array_size_row_keeps_products_exact(self):
+        lo, hi = ENVELOPE["n_antennas"]
+        # N (N + 1) and (N - 1)(N - 2) are exact in int64 and in float64
+        assert lo == 1 and hi * (hi + 1) < 2 ** 53
+        assert make_params(n_antennas=hi).n_antennas == hi
+        for bad in (lo - 1, hi + 1, 4_000_000_000):
+            with pytest.raises(ValueError, match="n_antennas must lie in"):
+                make_params(n_antennas=bad)
+
+    def test_derived_gain_lies_in_beta_row(self):
+        lo, hi = ENVELOPE["beta"]
+        rows = ("carrier_freq", "distance", "pathloss_exp")
+        for corner in itertools.product(*(ENVELOPE[r] for r in rows)):
+            assert lo <= path_loss_beta(*corner) <= hi
+            assert lo <= make_params(**dict(zip(rows, corner))).beta <= hi
+
+    def test_products_are_positive_normal_at_every_corner(self):
+        # the docstring's window, which leaves over 140 decades to either
+        # end of the normal float range
+        def check(what, value):
+            assert 1e-160 <= value <= 1e170, (what, value, p)
+
+        for p in _envelope_corners():
+            n, tau = p.n_antennas, p.coherence_time
+            check("snr_perfect_csi", snr_perfect_csi(p))
+            check("snr_isotropic", snr_isotropic(p))
+            check("p_r_perfect", n * p.tx_power * p.beta)
+            design = joint_optimize(p)
+            check("joint_optimize", design.predicted_snr)
+            assert 0 < design.tau_c_opt < tau
+            # the training slot's row end, the optimizer's bracket ends, and
+            # the largest slot below tau
+            for tau_c in (ENVELOPE["ce_time"][0], 1e-12 * tau, (1 - 1e-12) * tau,
+                          float(np.nextafter(tau, 0))):
+                check("mc_snr_scale", mc_snr_scale(p, tau_c))
+                for k in (1, n):
+                    check("snr_approx", snr_approx(tau_c, k, p))
+                    check("ce_snr", ce_snr(PilotConfig(k, tau_c), p))
+                    q = p.noise_var * k / (p.beta ** 2 * p.tag_amp_ce ** 2 * p.tx_power)
+                    check("q", q)
+                    check("q / tau_c**2", q / tau_c ** 2)
+                    f, rise = _derivative_terms(p, p.beta ** 2, n, k, tau_c)
+                    check("shape", f)
+                    assert 0 <= rise <= 1e170
+                for db in ENVELOPE["training_snr_db"]:
+                    check("derived noise", p.beta ** 2 * p.tag_amp_ce ** 2
+                          * p.tx_power * tau_c / 10.0 ** (db / 10.0))
 
 
 class TestPilotConfig:

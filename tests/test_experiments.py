@@ -25,6 +25,17 @@ def _write(tmp_path, text, name="exp.cfg"):
     return str(path)
 
 
+def _shipped_configs():
+    """Every config the repository ships: the benchmark workloads (read
+    only), the fixtures and the README's example."""
+    root = DATA.parents[1]
+    paths = [*sorted(root.glob("perfbench/workloads/*.cfg")), *sorted(DATA.glob("*.cfg"))]
+    configs = [pytest.param(p.read_text(encoding="utf-8"), id=p.name) for p in paths]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Example:\n\n```\n", 1)[1].split("```", 1)[0]
+    return [*configs, pytest.param(example, id="README example")]
+
+
 class TestLoadConfig:
     def test_empty_file_gives_reference_defaults(self, tmp_path):
         cfg = load_config(_write(tmp_path, ""))
@@ -87,6 +98,10 @@ class TestLoadConfig:
         cfg = load_config(_write(tmp_path,
                                  "ce_time = 1.02e-4\nquantize_ce_time = true\n"))
         assert cfg.pilot.ce_time == pytest.approx(1.0e-4)
+
+    @pytest.mark.parametrize("text", _shipped_configs())
+    def test_shipped_configs_lie_inside_the_envelope(self, tmp_path, text):
+        assert load_config(_write(tmp_path, text)).sweep_grid
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -411,16 +426,21 @@ class TestCli:
 
     @pytest.mark.parametrize("line", [
         "noise_var = nan", "distance = inf", "beta = inf", "ce_time = nan",
-        # the derived path-loss gain overflows or underflows to zero
+        # ranges and carriers outside their rows; the derived path-loss gain
+        # would overflow or underflow to zero
         "distance = 1e300", "carrier_freq = 1e200", "distance = 1e-300",
-        # a gain whose square underflows, given or derived at 1e79 m
+        # a gain below the beta row, given or derived at 1e79 m
         "beta = 1e-200", "distance = 1e79",
         # a subnormal float
         "noise_var = 1e-320",
-        # the design's SNR overflows (it printed Infinity) or underflows to
-        # zero (it printed -Infinity dB)
+        # powers and noise outside their rows: the design's SNR overflowed
+        # (it printed Infinity) or underflowed to zero (-Infinity dB)
         "n_antennas = 20\ntx_power = 1e306\nsweep = COMPARE\nsweep_grid = 60, 100",
         "tx_power = 1e306", "noise_var = 1e306",
+        # checked before the conversion, which would raise OverflowError
+        "tx_power_dbm = 4000",
+        # past the array-size row: it failed at run time in the optimizer
+        "n_antennas = 4000000000",
     ])
     def test_non_finite_input_fails_at_load(self, tmp_path, line):
         res = run_cli("optimize", "--config", _write(tmp_path, line + "\n"))
@@ -443,15 +463,18 @@ class TestCli:
         "sweep = TAU_SWEEP\nsweep_grid = -1e-4, 1e-4\n",
         "sweep = COMPARE\nsweep_grid = -5, 60\n",
         "sweep = JOINT\nsweep_grid = 0, 60\n",
-        # ranges whose path-loss gain underflows to zero or overflows
+        # ranges past their row, whose path-loss gain would underflow to zero
+        # or overflow
         "sweep = COMPARE\nsweep_grid = 60, 1e300\n",
         "sweep = COMPARE\nsweep_grid = 1e-300, 60\n",
         "sweep = JOINT\nsweep_grid = 60, 1e300\n",
         "sweep = JOINT\nsweep_grid = 1e-130, 60\n",
-        # past the largest N whose (N - 1)**2 is exact in int64
+        # array sizes past their row
         "sweep = N_SWEEP\nsweep_grid = 2, 4e9\n",
         "n_antennas = 4000000000\nsweep = COMPARE\nsweep_grid = 60\n",
-        # a gain whose square underflows: beta = 1e-200 at 1e79 m
+        # refused before K_SWEEP's default grid lists 1..N
+        "n_antennas = 1000000000\nsweep = K_SWEEP\n",
+        # gains below the beta row: beta = 1e-200, given or derived at 1e79 m
         "beta = 1e-200\nsweep = N_SWEEP\nsweep_grid = 2, 4\n",
         "sweep = COMPARE\nsweep_grid = 60, 1e79\n",
         "sweep = JOINT\nsweep_grid = 60, 1e79\n",
@@ -462,14 +485,21 @@ class TestCli:
         # whose 10 ** (dB / 10) under- or overflows
         "n_antennas = 2\nsweep = SNR_SWEEP\nsweep_grid = 0, 3000\n",
         "n_antennas = 2\nsweep = SNR_SWEEP\nsweep_grid = -4000, 0, 4000\n",
-        # SNRs past float range: the closed forms, and the Monte Carlo scale
-        # (tau - tau_c) p_t a_id^2 / N0 where snr_approx is finite
+        # powers past their row, where SNRs overflowed: the closed forms, and
+        # the Monte Carlo scale (tau - tau_c) p_t a_id^2 / N0 where snr_approx
+        # is finite
         "n_antennas = 20\ntx_power = 1e306\nsweep = COMPARE\nsweep_grid = 60, 100\n",
         "n_antennas = 4\ntx_power = 1e306\nsweep = K_SWEEP\ntrials = 4\n"
         "sweep_grid = 1, 4\n",
         # snr_perfect rounds to the largest float, snr_fixed at tau_c -> 0 past it
         "n_antennas = 3\ntx_power = 3.233325267445485e307\nce_time = 1e-25\n"
         "sweep = N_SWEEP\nsweep_grid = 3\n",
+        # snr_perfect underflowed to zero and the norm_* rows divided by it
+        "noise_var = 1e306\nsweep = COMPARE\nsweep_grid = 60, 100\n",
+        # p_r_perfect = N p_t beta overflowed to inf
+        "n_antennas = 200\nbeta = 1\ntx_power = 1e306\nnoise_var = 1e300\n"
+        "trials = 2\nsweep_grid = 0\n",
+        "tx_power_dbm = 4000\n",
     ])
     def test_grid_outside_sweep_domain_fails_at_load(self, tmp_path, capsys, body):
         cfg = _write(tmp_path, "trials = 3\nestimator = LS\n" + body)
