@@ -56,6 +56,7 @@ def _cmd_run(args) -> int:
 
     from .experiments import (
         ConfigError,
+        ResultTable,
         iter_experiment,
         load_config,
         resolve_workers,
@@ -74,15 +75,16 @@ def _cmd_run(args) -> int:
 
     cfg = replace(cfg, workers=resolve_workers(cfg.workers))
     print(_run_header(cfg.workers), file=sys.stderr)
-    rows = []
+    tables = []
     try:
-        for row in iter_experiment(cfg):
-            rows.append(row)
+        for table in iter_experiment(cfg):
+            tables.append(table)
     except Exception as exc:  # noqa: BLE001 - flush what we have, then report
-        if rows:
+        if tables:
             # never at the output path, where it would pass for a whole run
             partial = f"{cfg.output_path}.partial"
             try:
+                rows = ResultTable.concat(tables)
                 write_csv(rows, partial)
                 print(f"wrote {len(rows)} partial rows to {partial}",
                       file=sys.stderr)
@@ -91,6 +93,7 @@ def _cmd_run(args) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     try:
+        rows = ResultTable.concat(tables)
         write_csv(rows, cfg.output_path)
     except Exception as exc:  # noqa: BLE001
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -21,19 +21,20 @@ Sweep kinds, what their grids hold, and the rows they write:
   COMPARE    grid = ranges in meters, > 0; all scheme SNRs plus
              normalizations against the perfect-knowledge benchmark.
 
-Monte Carlo sweeps call :func:`~bsc_estim.snr.mc_metrics` once per sweep
-point for every flavor, so LS and LMMSE rows come from the same trials.
-The closed-form sweeps (N_SWEEP, JOINT, COMPARE) evaluate their whole grid
-in one array pass through the ``*_grid`` functions, which run each formula's
-one body on arrays and so equal the scalar functions bit for bit, and then
-yield rows point by point.
+Results travel as columns: a :class:`ResultTable` holds one array per CSV
+field.  Monte Carlo sweeps call :func:`~bsc_estim.snr.mc_metrics` once per
+sweep point for every flavor, so LS and LMMSE rows come from the same
+trials, and yield one small table per point.  The closed-form sweeps
+(N_SWEEP, JOINT, COMPARE) evaluate their whole grid in one array pass
+through the ``*_grid`` functions, which run each formula's one body on
+arrays and so equal the scalar functions bit for bit, and stack those
+arrays into one table without a Python object per row.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import struct
 import warnings
 from dataclasses import dataclass, replace
 
@@ -93,6 +94,12 @@ DEFAULT_GRIDS = {
     "COMPARE": [60.0, 80.0, 100.0, 120.0, 150.0, 180.0],
 }
 
+# Most worker processes a run may use.  The pool starts every worker at its
+# first parallel call, so a mistyped count would fork that many processes at
+# once; Monte Carlo trials gain nothing from more workers than CPUs.
+MAX_WORKERS = 256
+
+
 class ConfigError(ValueError):
     """Raised when a config file cannot be parsed or violates an invariant."""
 
@@ -116,17 +123,61 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 0:
-            raise ConfigError(f"workers must be >= 0 (0 = auto), got {self.workers}")
+        if self.seed < 0:
+            # trial t seeds numpy from (seed, t, 0), which takes no negative entry
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must be in [0, {MAX_WORKERS}] (0 = auto), "
+                              f"got {self.workers}")
 
 
 @dataclass(frozen=True)
-class ResultRow:
-    sweep_value: float
-    metric_name: str
-    value: float
-    std_error: float
-    trials: int
+class ResultTable:
+    """Result rows held as columns, one read-only array per CSV field.
+
+    Row i is (``sweep_value[i]``, ``metric[i]``, ``value[i]``,
+    ``std_error[i]``, ``trials[i]``).  ``len()`` is the row count, and
+    :meth:`concat` joins tables in order.
+    """
+
+    sweep_value: np.ndarray    # float64
+    metric: np.ndarray         # str objects, so repeated names share one
+    value: np.ndarray          # float64
+    std_error: np.ndarray      # float64
+    trials: np.ndarray         # int64
+
+    def __post_init__(self) -> None:
+        shapes = set()
+        for name, dtype in _COLUMN_DTYPES.items():
+            # a read-only view: no copy, and the caller's array keeps its flags
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+            shapes.add(column.shape)
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError("result columns must be 1-D and of one length")
+
+    def __len__(self) -> int:
+        return len(self.metric)
+
+    @classmethod
+    def from_rows(cls, rows) -> ResultTable:
+        """A table of one or more (sweep_value, metric, value, std_error,
+        trials) tuples."""
+        return cls(*zip(*rows))
+
+    @classmethod
+    def concat(cls, tables) -> ResultTable:
+        """The rows of one or more ``tables``, in order."""
+        tables = list(tables)
+        if len(tables) == 1:
+            return tables[0]    # tables are immutable: nothing to copy
+        return cls(*(np.concatenate([getattr(t, name) for t in tables])
+                     for name in _COLUMN_DTYPES))
+
+
+_COLUMN_DTYPES = {"sweep_value": np.float64, "metric": object, "value": np.float64,
+                  "std_error": np.float64, "trials": np.int64}
 
 
 _INT_KEYS = {"n_antennas", "pilot_count", "trials", "seed", "workers"}
@@ -297,16 +348,18 @@ def _params_for_ce_snr_db(params: SystemParams, ce_time: float,
 
 def resolve_workers(workers: int) -> int:
     """The worker count a run uses: ``workers``, or for 0 ("auto") the CPUs
-    this process may run on, so a CPU-limited container is not oversubscribed."""
+    this process may run on, so a CPU-limited container is not oversubscribed,
+    up to :data:`MAX_WORKERS`."""
     if workers > 0:
         return workers
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
+    return min(os.cpu_count() or 1, MAX_WORKERS)
 
 
 def iter_experiment(cfg: ExperimentConfig):
-    """Yield result rows one sweep point at a time (lets callers flush early)."""
+    """Yield result tables in row order: one per Monte Carlo sweep point
+    (lets callers flush early), or one for a closed-form sweep's whole grid."""
     cfg = replace(cfg, workers=resolve_workers(cfg.workers))
     if cfg.sweep == "SNR_SWEEP":
         yield from _run_snr_sweep(cfg)
@@ -315,18 +368,18 @@ def iter_experiment(cfg: ExperimentConfig):
     elif cfg.sweep == "K_SWEEP":
         yield from _run_k_sweep(cfg)
     elif cfg.sweep == "N_SWEEP":
-        yield from _run_n_sweep(cfg)
+        yield _run_n_sweep(cfg)
     elif cfg.sweep == "JOINT":
-        yield from _run_joint(cfg)
+        yield _run_joint(cfg)
     elif cfg.sweep == "COMPARE":
-        yield from _run_compare(cfg)
+        yield _run_compare(cfg)
     else:  # pragma: no cover - guarded by load_config
         raise ValueError(f"unknown sweep {cfg.sweep!r}")
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
+def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """All rows for the configured sweep."""
-    return list(iter_experiment(cfg))
+    return ResultTable.concat(iter_experiment(cfg))
 
 
 def _run_snr_sweep(cfg: ExperimentConfig):
@@ -337,19 +390,22 @@ def _run_snr_sweep(cfg: ExperimentConfig):
         # same seeded trials
         est = mc_metrics(params, cfg.pilot, flavors, cfg.trials, cfg.seed,
                          ("p_r", "mse_vec", "snr"), cfg.workers)
+        rows = []
         for flavor in flavors:
             tag = flavor.lower()
             for metric, name in (("p_r", "p_r"), ("mse_vec", "mse"), ("snr", "snr_mc")):
                 e = est[flavor, metric]
-                yield ResultRow(ge_db, f"{name}_{tag}", e.value, e.std_error, e.trials)
-        yield ResultRow(ge_db, "p_r_perfect",
-                        params.n_antennas * params.tx_power * params.beta, 0.0, 0)
-        yield ResultRow(ge_db, "p_r_isotropic", params.tx_power * params.beta, 0.0, 0)
-        yield ResultRow(ge_db, "snr_approx",
-                        snr_approx(cfg.pilot.ce_time, cfg.pilot.pilot_count, params),
-                        0.0, 0)
-        yield ResultRow(ge_db, "snr_perfect", snr_perfect_csi(params), 0.0, 0)
-        yield ResultRow(ge_db, "snr_isotropic", snr_isotropic(params), 0.0, 0)
+                rows.append((ge_db, f"{name}_{tag}", e.value, e.std_error, e.trials))
+        rows += [
+            (ge_db, "p_r_perfect", params.n_antennas * params.tx_power * params.beta,
+             0.0, 0),
+            (ge_db, "p_r_isotropic", params.tx_power * params.beta, 0.0, 0),
+            (ge_db, "snr_approx",
+             snr_approx(cfg.pilot.ce_time, cfg.pilot.pilot_count, params), 0.0, 0),
+            (ge_db, "snr_perfect", snr_perfect_csi(params), 0.0, 0),
+            (ge_db, "snr_isotropic", snr_isotropic(params), 0.0, 0),
+        ]
+        yield ResultTable.from_rows(rows)
 
 
 def _run_tau_sweep(cfg: ExperimentConfig):
@@ -357,24 +413,28 @@ def _run_tau_sweep(cfg: ExperimentConfig):
     for tau_c in cfg.sweep_grid:
         if tau_c >= cfg.params.coherence_time:
             # Training eats the whole block: nothing left to decode.
-            for flavor in flavors:
-                yield ResultRow(tau_c, f"snr_mc_{flavor.lower()}", 0.0, 0.0, 0)
-            yield ResultRow(tau_c, "snr_approx", 0.0, 0.0, 0)
+            yield ResultTable.from_rows(
+                [(tau_c, f"snr_mc_{flavor.lower()}", 0.0, 0.0, 0) for flavor in flavors]
+                + [(tau_c, "snr_approx", 0.0, 0.0, 0)])
             continue
         pilot = PilotConfig(pilot_count=cfg.pilot.pilot_count, ce_time=tau_c)
         pilot.validate_against(cfg.params)
         est = mc_metrics(cfg.params, pilot, flavors, cfg.trials, cfg.seed,
                          ("snr",), cfg.workers)
+        rows = []
         for flavor in flavors:
             e = est[flavor, "snr"]
-            yield ResultRow(tau_c, f"snr_mc_{flavor.lower()}", e.value,
-                            e.std_error, e.trials)
-        yield ResultRow(tau_c, "snr_approx",
-                        snr_approx(tau_c, cfg.pilot.pilot_count, cfg.params), 0.0, 0)
+            rows.append((tau_c, f"snr_mc_{flavor.lower()}", e.value, e.std_error,
+                         e.trials))
+        rows.append((tau_c, "snr_approx",
+                     snr_approx(tau_c, cfg.pilot.pilot_count, cfg.params), 0.0, 0))
+        yield ResultTable.from_rows(rows)
     tau_opt = optimal_ta(cfg.pilot.pilot_count, cfg.params)
-    yield ResultRow(tau_opt, "tau_c_opt", tau_opt, 0.0, 0)
-    yield ResultRow(tau_opt, "snr_approx_at_tau_opt",
-                    snr_approx(tau_opt, cfg.pilot.pilot_count, cfg.params), 0.0, 0)
+    yield ResultTable.from_rows([
+        (tau_opt, "tau_c_opt", tau_opt, 0.0, 0),
+        (tau_opt, "snr_approx_at_tau_opt",
+         snr_approx(tau_opt, cfg.pilot.pilot_count, cfg.params), 0.0, 0),
+    ])
 
 
 def _run_k_sweep(cfg: ExperimentConfig):
@@ -389,30 +449,41 @@ def _run_k_sweep(cfg: ExperimentConfig):
                            ("p_r",), cfg.workers)
         snr = mc_metrics(cfg.params, pilot, flavors, cfg.trials, cfg.seed,
                          ("snr",), cfg.workers)
+        rows = []
         for flavor in flavors:
             tag = flavor.lower()
             p_r, s = power[flavor, "p_r"], snr[flavor, "snr"]
             baseline.setdefault(tag, p_r.value)
-            yield ResultRow(k, f"p_r_{tag}", p_r.value, p_r.std_error, p_r.trials)
-            yield ResultRow(k, f"p_r_norm_{tag}", p_r.value / baseline[tag],
-                            p_r.std_error / baseline[tag], p_r.trials)
-            yield ResultRow(k, f"snr_mc_{tag}", s.value, s.std_error, s.trials)
-        yield ResultRow(k, "snr_approx", snr_approx(pilot.ce_time, k, cfg.params), 0.0, 0)
+            rows += [
+                (k, f"p_r_{tag}", p_r.value, p_r.std_error, p_r.trials),
+                (k, f"p_r_norm_{tag}", p_r.value / baseline[tag],
+                 p_r.std_error / baseline[tag], p_r.trials),
+                (k, f"snr_mc_{tag}", s.value, s.std_error, s.trials),
+            ]
+        rows.append((k, "snr_approx", snr_approx(pilot.ce_time, k, cfg.params), 0.0, 0))
+        yield ResultTable.from_rows(rows)
 
 
-def _closed_form_rows(sweep_values, columns: dict[str, np.ndarray]):
-    """One list of closed-form rows per sweep point, in ``columns`` order."""
-    names = list(columns)
-    for value, point in zip(sweep_values, zip(*(c.tolist() for c in columns.values()))):
-        yield [ResultRow(value, name, x, 0.0, 0) for name, x in zip(names, point)]
+def _closed_form_table(sweep_values, columns: dict[str, np.ndarray]) -> ResultTable:
+    """Closed-form rows point by point, each point's rows in ``columns`` order."""
+    points, names = len(sweep_values), list(columns)
+    size = points * len(names)
+    return ResultTable(
+        sweep_value=np.repeat(np.asarray(sweep_values, dtype=np.float64), len(names)),
+        metric=np.tile(np.array(names, dtype=object), points),
+        value=np.column_stack(list(columns.values())).ravel(),
+        std_error=np.zeros(size),
+        trials=np.zeros(size, dtype=np.int64),
+    )
 
 
-def _scheme_rows(sweep_values, grid: ParamGrid, tau_c0: float):
-    """Closed-form SNRs of the benchmark schemes, one list of rows per point."""
+def _scheme_columns(grid: ParamGrid, tau_c0: float) -> dict[str, np.ndarray]:
+    """Closed-form SNRs of the benchmark schemes over ``grid``, ending with
+    ``snr_perfect``."""
     n = grid.n_antennas
     tau_n = optimal_ta_grid(n, grid)
     tau_c, k, snr = joint_optimize_grid(grid)
-    return _closed_form_rows(sweep_values, {
+    return {
         "snr_isotropic": snr_isotropic_grid(grid),
         "snr_fixed": snr_approx_grid(tau_c0, n, grid),
         "snr_opt_ta": snr_approx_grid(tau_n, n, grid),
@@ -420,32 +491,29 @@ def _scheme_rows(sweep_values, grid: ParamGrid, tau_c0: float):
         "tau_c_joint": tau_c,
         "k_joint": k.astype(float),
         "snr_perfect": snr_perfect_csi_grid(grid),
-    })
+    }
 
 
-def _run_n_sweep(cfg: ExperimentConfig):
+def _run_n_sweep(cfg: ExperimentConfig) -> ResultTable:
     counts = [int(v) for v in cfg.sweep_grid]
     grid = ParamGrid.over_antennas(cfg.params, counts)
-    for rows in _scheme_rows(counts, grid, cfg.pilot.ce_time):
-        yield from rows
+    return _closed_form_table(counts, _scheme_columns(grid, cfg.pilot.ce_time))
 
 
-def _run_joint(cfg: ExperimentConfig):
+def _run_joint(cfg: ExperimentConfig) -> ResultTable:
     tau_c, k, snr = joint_optimize_grid(ParamGrid.over_ranges(cfg.params, cfg.sweep_grid))
-    for rows in _closed_form_rows(cfg.sweep_grid, {
-            "tau_c_joint": tau_c, "k_joint": k.astype(float), "snr_joint": snr}):
-        yield from rows
+    return _closed_form_table(cfg.sweep_grid, {
+        "tau_c_joint": tau_c, "k_joint": k.astype(float), "snr_joint": snr})
 
 
-def _run_compare(cfg: ExperimentConfig):
+def _run_compare(cfg: ExperimentConfig) -> ResultTable:
     grid = ParamGrid.over_ranges(cfg.params, cfg.sweep_grid)
-    for rows in _scheme_rows(cfg.sweep_grid, grid, cfg.pilot.ce_time):
-        yield from rows
-        perfect = rows[-1].value        # _scheme_rows ends with snr_perfect
-        for row in rows:
-            if row.metric_name.startswith("snr_"):
-                yield ResultRow(row.sweep_value, f"norm_{row.metric_name[4:]}",
-                                row.value / perfect, 0.0, 0)
+    columns = _scheme_columns(grid, cfg.pilot.ce_time)
+    perfect = columns["snr_perfect"]
+    # each scheme's SNR over the perfect-knowledge SNR at the same point
+    norms = {f"norm_{name[4:]}": column / perfect
+             for name, column in columns.items() if name.startswith("snr_")}
+    return _closed_form_table(cfg.sweep_grid, {**columns, **norms})
 
 
 def _fmt(value: float) -> str:
@@ -456,49 +524,47 @@ def _fmt(value: float) -> str:
                                       fractional=False, trim="k")
 
 
-_float_bits = struct.Struct("<d").pack
+# Rows per write: bounds the lines held in memory at once.
+_BLOCK_ROWS = 4096
 
 
-class _RepeatFmt:
-    """:func:`_fmt` that reuses its last string while the value's bits repeat.
+def _texts(column: np.ndarray, fmt) -> np.ndarray:
+    """``fmt`` of every entry of ``column``, from one call per distinct entry.
 
-    A column of sweep values or zero standard errors repeats row after row.
-    Keying on the bits keeps -0.0 apart from 0.0 and every NaN exact.
+    A float column is keyed on its 64-bit patterns, so -0.0 stays apart from
+    0.0 and every NaN and infinity is formatted as itself.
     """
-
-    __slots__ = ("bits", "text")
-
-    def __init__(self) -> None:
-        self.bits = None
-        self.text = ""
-
-    def __call__(self, value: float) -> str:
-        bits = _float_bits(value)
-        if bits != self.bits:
-            self.bits, self.text = bits, _fmt(value)
-        return self.text
+    floats = column.dtype == np.float64
+    keys, inverse = np.unique(column.view(np.uint64) if floats else column,
+                              return_inverse=True)
+    if floats:
+        keys = keys.view(np.float64)
+    return np.array([fmt(key) for key in keys.tolist()], dtype=object)[inverse]
 
 
-def write_csv(rows: list[ResultRow], path: str) -> None:
-    """Write rows as UTF-8 CSV with a fixed header and 12-digit values.
+def write_csv(rows: ResultTable, path: str) -> None:
+    """Write a result table as UTF-8 CSV with a fixed header and 12-digit values.
 
-    Lines stream to a temporary file beside ``path`` that then replaces it,
-    so ``path`` is never partial.
+    Each field reads as :func:`_fmt` (or ``str`` for trial counts) writes
+    that value alone, from one call per distinct value of its column.  Lines
+    go out ``_BLOCK_ROWS`` at a time to a temporary file beside ``path``
+    that then replaces it, so ``path`` is never partial.
     """
-    if not rows:
+    if not len(rows):
         raise ValueError("refusing to write an empty result set")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"output directory does not exist: {directory!r}")
-    sweep_fmt, value_fmt, stderr_fmt = _RepeatFmt(), _RepeatFmt(), _RepeatFmt()
+    columns = (_texts(rows.sweep_value, _fmt), rows.metric, _texts(rows.value, _fmt),
+               _texts(rows.std_error, _fmt), _texts(rows.trials, str))
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("sweep_value,metric,value,std_error,trials\n")
-            for row in rows:
-                fh.write(f"{sweep_fmt(row.sweep_value)},{row.metric_name},"
-                         f"{value_fmt(row.value)},{stderr_fmt(row.std_error)},"
-                         f"{row.trials}\n")
+            for lo in range(0, len(rows), _BLOCK_ROWS):
+                block = (column[lo:lo + _BLOCK_ROWS].tolist() for column in columns)
+                fh.write("".join([f"{s},{m},{v},{e},{t}\n"
+                                  for s, m, v, e, t in zip(*block)]))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

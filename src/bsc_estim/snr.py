@@ -24,8 +24,6 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,23 +253,29 @@ class _WorkerPool:
 
     Created on first use, replaced when the worker count changes or a worker
     dies, and shut down at exit.  An initializer pins each worker to
-    :data:`KERNEL_BLAS_THREADS`, so it holds under ``fork`` and ``spawn``.
+    :data:`KERNEL_BLAS_THREADS`, so it holds under ``fork`` and ``spawn``;
+    ``mp_context`` picks the start method (None: the platform default).
+    The process pool and ``multiprocessing`` are imported on first use, so
+    a run that never goes parallel does not load them.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, mp_context=None) -> None:
         self._lock = threading.Lock()
-        self._executor: ProcessPoolExecutor | None = None
+        self._mp_context = mp_context
+        self._executor = None
         self._workers = 0
 
     def map(self, fn, jobs: list, workers: int) -> list:
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         with self._lock:
             if self._executor is None or self._workers != workers:
                 self.shutdown()
                 if not self._workers:  # this process's first pool
                     atexit.register(self.shutdown)
                 self._executor = ProcessPoolExecutor(
-                    workers, initializer=set_blas_threads,
-                    initargs=(KERNEL_BLAS_THREADS,))
+                    workers, mp_context=self._mp_context,
+                    initializer=set_blas_threads, initargs=(KERNEL_BLAS_THREADS,))
                 self._workers = workers
             try:
                 return list(self._executor.map(fn, jobs))

@@ -47,8 +47,8 @@ def random_channel_vector(rng: np.random.Generator, n: int, beta: float = 1.0):
     return np.sqrt(beta / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python -m bsc_estim.cli`` in a child that imports this checkout.
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a child that imports this checkout.
 
     pytest's ``pythonpath`` setting does not reach child interpreters, so
     the directory this process imported bsc_estim from goes on PYTHONPATH.
@@ -57,5 +57,10 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "bsc_estim.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m bsc_estim.cli`` in a child that imports this checkout."""
+    return run_python("-m", "bsc_estim.cli", *args)

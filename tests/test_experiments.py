@@ -7,8 +7,10 @@ import pytest
 from bsc_estim import cli, experiments, snr
 from bsc_estim.experiments import (
     DEFAULTS,
+    MAX_WORKERS,
     ConfigError,
-    ResultRow,
+    ResultTable,
+    iter_experiment,
     load_config,
     resolve_workers,
     run_experiment,
@@ -82,6 +84,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="trials"):
             load_config(_write(tmp_path, "trials = 0\n"))
 
+    def test_workers_above_cap_rejected(self, tmp_path):
+        # the pool would fork every worker at its first call; none is started here
+        with pytest.raises(ConfigError, match=rf"workers must be in \[0, {MAX_WORKERS}\]"):
+            load_config(_write(tmp_path, f"workers = {MAX_WORKERS + 1}\n"))
+        assert load_config(_write(tmp_path, f"workers = {MAX_WORKERS}\n")).workers == (
+            MAX_WORKERS)
+
     def test_bad_value_names_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2"):
             load_config(_write(tmp_path, "# header\nn_antennas = lots\n"))
@@ -108,10 +117,33 @@ class TestLoadConfig:
             load_config("/nonexistent/path.cfg")
 
 
+class TestResultTable:
+    def test_tables_concatenate_in_order(self):
+        a = ResultTable.from_rows([(1.0, "x", 2.0, 0.5, 3), (1.0, "y", -0.0, 0.0, 0)])
+        b = ResultTable.from_rows([(2, "x", float("nan"), 0.0, 7)])
+        both = ResultTable.concat([a, b])
+        assert len(a) == 2 and len(both) == 3
+        assert both.metric.tolist() == ["x", "y", "x"]
+        assert both.sweep_value.tolist() == [1.0, 1.0, 2.0]
+        assert both.trials.tolist() == [3, 0, 7]
+        np.testing.assert_array_equal(both.value, [2.0, -0.0, np.nan])
+        assert np.signbit(both.value[1])
+        assert ResultTable.concat([a]) is a
+
+    def test_columns_are_read_only_and_of_one_length(self):
+        table = ResultTable(np.zeros(2), np.array(["a", "b"], dtype=object),
+                            np.ones(2), np.zeros(2), np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError):
+            table.value[0] = 5.0
+        with pytest.raises(ValueError, match="one length"):
+            ResultTable(np.zeros(2), np.array(["a"], dtype=object), np.zeros(2),
+                        np.zeros(2), np.zeros(2, dtype=np.int64))
+
+
 class TestWriteCsv:
     def test_single_row_two_lines(self, tmp_path):
         path = str(tmp_path / "out.csv")
-        write_csv([ResultRow(1.0, "snr", 2.1488, 0.0, 100)], path)
+        write_csv(ResultTable.from_rows([(1.0, "snr", 2.1488, 0.0, 100)]), path)
         lines = open(path, encoding="utf-8").read().split("\n")
         assert lines[0] == "sweep_value,metric,value,std_error,trials"
         assert len(lines) == 3 and lines[2] == ""     # newline-terminated
@@ -119,42 +151,49 @@ class TestWriteCsv:
 
     def test_formatting_contract(self, tmp_path):
         path = str(tmp_path / "out.csv")
-        write_csv([ResultRow(0.5, "x", 6.807389387418555e-9, 0.0, 1)], path)
+        write_csv(ResultTable.from_rows([(0.5, "x", 6.807389387418555e-9, 0.0, 1)]),
+                  path)
         value = open(path, encoding="utf-8").read().split("\n")[1].split(",")[2]
         assert float(value) == pytest.approx(6.807389387418555e-9, rel=1e-11)
 
     def test_repeated_values_write_exactly_as_fmt(self, tmp_path):
-        # each column's last string is reused only for the same bits, so
-        # -0.0 after 0.0, NaN and +-inf come out as _fmt writes them alone
+        # a column's distinct values are formatted once each, keyed on their
+        # bits: -0.0 and 0.0, NaN, +-inf and int sweep values come out as
+        # _fmt writes each alone, also where repeats are far apart and cross
+        # the writer's blocks
         values = [0.0, 0.0, -0.0, -0.0, 0.0, float("nan"), float("nan"),
                   np.float64("nan"), float("inf"), float("inf"), -np.inf,
-                  -np.inf, 2.5, np.float64(2.5), 2.5 + 2 ** -51, 3, 3.0]
-        rows = [ResultRow(v, "m", values[-1 - i], v, i)
-                for i, v in enumerate(values)]
+                  -np.inf, 2.5, np.float64(2.5), 2.5 + 2 ** -51, 3, 3.0, 20,
+                  -0.0, 7, float("nan"), 2.5, 0.0, -np.inf]
+        size = 2 * experiments._BLOCK_ROWS + 5
+        rows = [(values[i % len(values)], f"m{i % 3}", values[(7 * i) % len(values)]
+                 if i % 4 else i / 7, values[-1 - i % len(values)], i % 5)
+                for i in range(size)]
         path = tmp_path / "out.csv"
-        write_csv(rows, str(path))
+        write_csv(ResultTable.from_rows(rows), str(path))
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
-        assert lines == [f"{experiments._fmt(r.sweep_value)},m,"
-                         f"{experiments._fmt(r.value)},"
-                         f"{experiments._fmt(r.std_error)},{r.trials}"
-                         for r in rows]
-        assert lines[2].startswith("-0.00000000000,") and lines[4].startswith("0.0")
-        assert [ln.split(",")[0] for ln in lines[5:12]] == (
-            ["nan"] * 3 + ["inf"] * 2 + ["-inf"] * 2)
+        fmt = experiments._fmt
+        assert lines == [f"{fmt(s)},{m},{fmt(v)},{fmt(e)},{t}" for s, m, v, e, t in rows]
+        assert [ln.split(",")[0] for ln in lines[:len(values)]] == [
+            "0.00000000000", "0.00000000000", "-0.00000000000", "-0.00000000000",
+            "0.00000000000", "nan", "nan", "nan", "inf", "inf", "-inf", "-inf",
+            "2.50000000000", "2.50000000000", "2.50000000000", "3.00000000000",
+            "3.00000000000", "20.0000000000", "-0.00000000000", "7.00000000000",
+            "nan", "2.50000000000", "0.00000000000", "-inf"]
 
     def test_missing_directory_named(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no/such"):
-            write_csv([ResultRow(0, "x", 1.0, 0.0, 1)],
+            write_csv(ResultTable.from_rows([(0, "x", 1.0, 0.0, 1)]),
                       str(tmp_path / "no" / "such" / "out.csv"))
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_csv([], str(tmp_path / "out.csv"))
+            write_csv(ResultTable(*[()] * 5), str(tmp_path / "out.csv"))
 
     def test_replaces_existing_file_and_leaves_no_temporary(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text("stale\n", encoding="utf-8")
-        write_csv([ResultRow(1.0, "snr", 2.0, 0.0, 1)], str(path))
+        write_csv(ResultTable.from_rows([(1.0, "snr", 2.0, 0.0, 1)]), str(path))
         assert path.read_text(encoding="utf-8").startswith("sweep_value,")
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -173,12 +212,13 @@ class TestRunExperiment:
             sweep_grid = 0, 10
             estimator = BOTH
         """)
-        rows = run_experiment(cfg)
-        metrics = {r.metric_name for r in rows}
+        table = run_experiment(cfg)
         assert {"p_r_ls", "p_r_lmmse", "mse_ls", "snr_mc_ls", "snr_approx",
                 "snr_perfect", "snr_isotropic", "p_r_perfect",
-                "p_r_isotropic"} <= metrics
-        assert {r.sweep_value for r in rows} == {0.0, 10.0}
+                "p_r_isotropic"} <= set(table.metric)
+        assert set(table.sweep_value.tolist()) == {0.0, 10.0}
+        # one table per sweep point
+        assert [len(t) for t in iter_experiment(cfg)] == [len(table) // 2] * 2
 
     def test_tau_sweep_full_training_row_is_zero(self, tmp_path):
         cfg = _quick_cfg(tmp_path, """
@@ -189,12 +229,11 @@ class TestRunExperiment:
             sweep_grid = 2e-4, 1e-3
             estimator = LS
         """)
-        rows = run_experiment(cfg)
-        at_tau = [r for r in rows if r.sweep_value == pytest.approx(1e-3)
-                  and r.metric_name.startswith("snr")]
-        assert at_tau and all(r.value == 0.0 for r in at_tau)
-        marker = [r for r in rows if r.metric_name == "tau_c_opt"]
-        assert len(marker) == 1
+        table = run_experiment(cfg)
+        at_tau = table.value[np.isclose(table.sweep_value, 1e-3)
+                             & np.char.startswith(table.metric.astype(str), "snr")]
+        assert at_tau.size and np.all(at_tau == 0.0)
+        assert list(table.metric).count("tau_c_opt") == 1
 
     def test_k_sweep_normalization(self, tmp_path):
         cfg = _quick_cfg(tmp_path, """
@@ -203,10 +242,9 @@ class TestRunExperiment:
             sweep = K_SWEEP
             estimator = LS
         """)
-        rows = run_experiment(cfg)
-        norm1 = [r for r in rows
-                 if r.metric_name == "p_r_norm_ls" and r.sweep_value == 1]
-        assert norm1[0].value == pytest.approx(1.0, rel=1e-12)
+        table = run_experiment(cfg)
+        norm1 = table.value[(table.metric == "p_r_norm_ls") & (table.sweep_value == 1)]
+        assert norm1.tolist() == [pytest.approx(1.0, rel=1e-12)]
 
     def test_compare_reproduces_isotropic_normalization(self, tmp_path):
         cfg = _quick_cfg(tmp_path, """
@@ -214,10 +252,9 @@ class TestRunExperiment:
             sweep = COMPARE
             sweep_grid = 100
         """)
-        rows = run_experiment(cfg)
-        norm = [r for r in rows if r.metric_name == "norm_isotropic"]
-        assert len(norm) == 1
-        assert norm[0].value == pytest.approx(2.0 / 420.0, abs=1e-5)
+        table = run_experiment(cfg)
+        norm = table.value[table.metric == "norm_isotropic"]
+        assert norm.tolist() == [pytest.approx(2.0 / 420.0, abs=1e-5)]
 
     def test_n_sweep_emits_joint_design(self, tmp_path):
         cfg = _quick_cfg(tmp_path, """
@@ -225,10 +262,9 @@ class TestRunExperiment:
             sweep = N_SWEEP
             sweep_grid = 4, 8
         """)
-        rows = run_experiment(cfg)
-        metrics = {r.metric_name for r in rows}
+        table = run_experiment(cfg)
         assert {"k_joint", "tau_c_joint", "snr_joint", "snr_fixed",
-                "snr_opt_ta"} <= metrics
+                "snr_opt_ta"} <= set(table.metric)
 
     def test_joint_sweep(self, tmp_path):
         cfg = _quick_cfg(tmp_path, """
@@ -236,10 +272,11 @@ class TestRunExperiment:
             sweep = JOINT
             sweep_grid = 80, 120
         """)
-        rows = run_experiment(cfg)
-        ks = [r for r in rows if r.metric_name == "k_joint"]
+        # the whole grid comes as one table
+        [table] = iter_experiment(cfg)
+        ks = table.value[table.metric == "k_joint"]
         assert len(ks) == 2
-        assert all(r.value in (1.0, 20.0) for r in ks)
+        assert set(ks.tolist()) <= {1.0, 20.0}
 
     def test_both_flavors_share_each_draw(self, tmp_path, monkeypatch):
         calls = []
@@ -255,8 +292,8 @@ class TestRunExperiment:
             estimator = BOTH
             workers = 1
         """)
-        rows = run_experiment(cfg)
-        assert {r.metric_name for r in rows} >= {"snr_mc_ls", "snr_mc_lmmse"}
+        table = run_experiment(cfg)
+        assert set(table.metric) >= {"snr_mc_ls", "snr_mc_lmmse"}
         assert len(calls) == 7 * 3
 
     def test_auto_workers_count_the_cpus_this_process_may_use(self, monkeypatch):
@@ -264,6 +301,9 @@ class TestRunExperiment:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
         assert resolve_workers(0) == 2
         assert resolve_workers(5) == 5
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(MAX_WORKERS + 8)), raising=False)
+        assert resolve_workers(0) == MAX_WORKERS
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert resolve_workers(0) == 64
 
@@ -296,9 +336,11 @@ class TestRunExperiment:
             estimator = LS
             seed = 99
         """
-        rows_a = run_experiment(_quick_cfg(tmp_path, body))
-        rows_b = run_experiment(_quick_cfg(tmp_path, body))
-        assert rows_a == rows_b
+        table_a = run_experiment(_quick_cfg(tmp_path, body))
+        table_b = run_experiment(_quick_cfg(tmp_path, body))
+        for column in ("sweep_value", "metric", "value", "std_error", "trials"):
+            np.testing.assert_array_equal(getattr(table_a, column),
+                                          getattr(table_b, column), strict=True)
 
 
 class TestGoldenCsv:
@@ -378,9 +420,15 @@ class TestCli:
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--trials", "0", "trials must be >= 1, got 0"),
-        ("--workers", "-1", "workers must be >= 0 (0 = auto), got -1"),
+        ("--workers", "-1", f"workers must be in [0, {MAX_WORKERS}] (0 = auto), got -1"),
+        # refused before any worker process could start
+        ("--workers", str(MAX_WORKERS + 1),
+         f"workers must be in [0, {MAX_WORKERS}] (0 = auto), got {MAX_WORKERS + 1}"),
+        ("--seed", "-5", "seed must be >= 0, got -5"),
     ])
-    def test_override_follows_config_rule(self, tmp_path, capsys, flag, value, message):
+    def test_override_follows_config_rule(self, tmp_path, capsys, monkeypatch, flag,
+                                          value, message):
+        monkeypatch.setattr("bsc_estim.experiments.iter_experiment", pytest.fail)
         out = tmp_path / "rows.csv"
         rc = cli.main(["run", "--config", _write(tmp_path, "trials = 3\n"),
                        "--out", str(out), flag, value])
@@ -411,7 +459,7 @@ class TestCli:
 
     def test_failed_run_leaves_nothing_at_output_path(self, tmp_path, monkeypatch):
         def failing(cfg):
-            yield ResultRow(0.0, "p_r_ls", 1.0, 0.0, 5)
+            yield ResultTable.from_rows([(0.0, "p_r_ls", 1.0, 0.0, 5)])
             raise RuntimeError("injected failure after one row")
 
         monkeypatch.setattr("bsc_estim.experiments.iter_experiment", failing)
@@ -441,6 +489,8 @@ class TestCli:
         "tx_power_dbm = 4000",
         # past the array-size row: it failed at run time in the optimizer
         "n_antennas = 4000000000",
+        # a negative seed, which numpy's seeding refuses
+        "seed = -1",
     ])
     def test_non_finite_input_fails_at_load(self, tmp_path, line):
         res = run_cli("optimize", "--config", _write(tmp_path, line + "\n"))
@@ -500,6 +550,10 @@ class TestCli:
         "n_antennas = 200\nbeta = 1\ntx_power = 1e306\nnoise_var = 1e300\n"
         "trials = 2\nsweep_grid = 0\n",
         "tx_power_dbm = 4000\n",
+        # a negative seed: SNR_SWEEP failed at run time in numpy's seeding,
+        # and COMPARE, which draws nothing, exited 0
+        "n_antennas = 2\nseed = -1\nsweep_grid = 0\n",
+        "seed = -1\nsweep = COMPARE\nsweep_grid = 60\n",
     ])
     def test_grid_outside_sweep_domain_fails_at_load(self, tmp_path, capsys, body):
         cfg = _write(tmp_path, "trials = 3\nestimator = LS\n" + body)

@@ -1,10 +1,8 @@
-import functools
 import math
 import multiprocessing
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -34,7 +32,7 @@ from bsc_estim.snr import (
     blas_threads,
     set_blas_threads,
 )
-from conftest import make_params, params_at_ce_snr_db, random_channel_vector
+from conftest import make_params, params_at_ce_snr_db, random_channel_vector, run_python
 from _oracles import corner_received_power, effective_snr_sample
 
 # Training SNR at the reference configuration (tau_c = 0.1 ms), frozen from
@@ -374,6 +372,13 @@ class TestKernelThreadsAndPool:
     CFG = PilotConfig(3, 1e-4)
     ARGS = (P, CFG, (LS, LMMSE), 24, 21, METRICS)
 
+    def test_loading_the_runner_imports_no_process_pool(self):
+        # only a parallel call needs multiprocessing, whose import every run would pay
+        res = run_python("-c", "import sys, bsc_estim.cli, bsc_estim.experiments; "
+                         "print('multiprocessing' in sys.modules)")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False\n"
+
     @needs_openblas
     def test_serial_kernel_runs_pinned_and_restores_caller(self, monkeypatch):
         seen = []
@@ -406,10 +411,8 @@ class TestKernelThreadsAndPool:
         assert set(reports) == {KERNEL_BLAS_THREADS}
 
     @needs_openblas
-    def test_pool_workers_run_pinned_under_spawn(self, monkeypatch):
-        monkeypatch.setattr(snr, "ProcessPoolExecutor", functools.partial(
-            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
-        pool = snr._WorkerPool()
+    def test_pool_workers_run_pinned_under_spawn(self):
+        pool = snr._WorkerPool(mp_context=multiprocessing.get_context("spawn"))
         try:
             reports = pool.map(_worker_blas_threads, range(4), 2)
         finally:
