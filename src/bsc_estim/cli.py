@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -71,6 +72,12 @@ def _cmd_run(args) -> int:
                       **{k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    # checked before the sweep runs, not when its rows are written
+    directory = os.path.dirname(cfg.output_path) or "."
+    if not os.path.isdir(directory):
+        print(f"config error: output directory does not exist: {directory!r}",
+              file=sys.stderr)
         return EXIT_VALIDATION
 
     cfg = replace(cfg, workers=resolve_workers(cfg.workers))
@@ -146,11 +153,12 @@ def _selftest_checks():
     gram = s @ s.conj().T
     yield "pilot orthogonality", np.allclose(gram, (1e-4 / 4) * np.eye(4), rtol=1e-12, atol=0)
 
-    chan = draw_channel(params, 7, pilot_count=20)
-    rx = backscatter(chan, build_pilots(20, 1e-4, 1.0), 0.78, 0.0, 8)
-    vest = vector_estimate(ls_matrix(rx))
-    err = min(np.linalg.norm(vest.h_hat - chan.h), np.linalg.norm(vest.h_hat + chan.h))
-    yield "noiseless recovery", err <= 1e-8 * np.linalg.norm(chan.h)
+    for k in (1, 20):   # both pilot-count corners
+        chan = draw_channel(params, 7, pilot_count=k)
+        rx = backscatter(chan, build_pilots(k, 1e-4, 1.0), 0.78, 0.0, 8)
+        vest = vector_estimate(ls_matrix(rx))
+        err = min(np.linalg.norm(vest.h_hat - chan.h), np.linalg.norm(vest.h_hat + chan.h))
+        yield f"noiseless recovery at K = {k}", err <= 1e-8 * np.linalg.norm(chan.h)
 
     yield "pilot-count threshold at N=20", abs(snr_threshold(20) - 361.0 / 168.0) < 1e-12
 

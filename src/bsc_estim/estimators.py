@@ -7,11 +7,12 @@ which for the package's orthogonal pilots is three O(NK) scalar shrinks of
 the LS estimate.  The LS estimate carries the per-pilot energy E0 it divided
 by, and the LMMSE shrinks read E0 from there.  Stage two recovers the
 channel vector itself from the matrix estimate by reducing the rank-one
-fitting problem to a real symmetric eigenvalue problem of size 2K.  At
-K = N only its top eigenpair is used, and that comes from a K x K Hermitian
-eigenproblem instead (a Takagi vector of the head's symmetric part);
-1 < K < N solves the whole 2K spectrum, because every positive eigenpair
-seeds a candidate there.
+fitting problem to a real symmetric eigenvalue problem of size 2K, by one
+of two paths.  At the pilot-count corners K = 1 and K = N only the top
+eigenpair is used, and it comes from a K x K Hermitian eigenproblem instead
+(the top Takagi pair of the head's symmetric part).  1 < K < N solves the
+whole 2K spectrum, because every positive eigenpair seeds a candidate, and
+refines the candidates.
 
 :func:`prior_covariance` and :func:`lmmse_gain` solve the same filter as a
 dense NK x NK system; only tests call them, as the reference.
@@ -33,16 +34,10 @@ LMMSE = "LMMSE"
 # all-noise degenerate input rather than divided through.
 _DEGENERATE_EIGENVALUE = 1e-30
 
-# Stationarity residual (unit-normalized) above which the reduced solution is
-# refined; exact inputs and the K=1 / K=N closed forms sit many orders below.
+# Stationarity residual (unit-normalized) above which a 1 < K < N reduced
+# solution is refined; exact inputs sit many orders below.  K = 1 and K = N
+# take the top Takagi pair, which is stationary, and are never refined.
 _REFINE_GRADIENT_TOL = 1e-10
-
-# Relative shortfall of |u^H S conj(u)| below the top singular value of S at
-# which the K = N Takagi path treats the top singular value as tied.  Rounding
-# keeps the shortfall below 3e-15 for a simple top value (1600 seeded draws,
-# N <= 40); a shortfall of delta that passed would move the unit-normalized
-# objective by about delta * sigma^2 / 2.
-_TAKAGI_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -313,31 +308,30 @@ def _reduction_candidates(h_hat_matrix: np.ndarray,
     return out
 
 
-def _takagi_pair(h_hat_matrix: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """Top eigenpair of the realified head block at K = N, from a K x K eigh.
+def _takagi_pair(h_hat_matrix: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+    """Top eigenpair of the realified head block at K = 1 and K = N.
 
-    The head's symmetric part S = conj(M) + conj(M)^T has a Takagi
-    factorization S = U Sigma U^T, and the positive eigenpairs of phi(S) are
-    exactly (sigma_j, [Re x_j; Im x_j]) with x_j = conj(u_j), i.e.
-    S x = sigma conj(x).  The top u is the top eigenvector of the Hermitian
-    S S^H; t = u^H S conj(u) then has |t| = sigma, and rotating conj(u) by
-    (conj(t) / sigma)^(1/2) gives an x with S x = sigma conj(x).
-
-    A tied top singular value leaves u anywhere in its left singular
-    subspace, where |t| falls below sigma; that case returns None and the
-    caller takes the 2K x 2K spectrum instead.
+    The head's symmetric part S = conj(M_K) + conj(M_K)^T has a Takagi
+    factorization S = U Sigma U^T (Horn & Johnson, Cor. 4.4.4), and the
+    positive eigenpairs of phi(S) are exactly (sigma_j, [Re x_j; Im x_j])
+    with S x_j = sigma_j conj(x_j).  A top left singular vector u of S comes
+    from the K x K Hermitian S S^H; then v = S^H u / sigma is its right
+    partner, and both x = conj(u) + v and x = i (conj(u) - v) satisfy
+    S x = sigma conj(x).  The longer of the two is returned, which has
+    ||x||^2 >= 2.  Since v is built from u, this holds even when the top
+    singular value is tied.
     """
-    s = h_hat_matrix.conj()
+    s = h_hat_matrix[:k].conj()
     s = s + s.T
-    w, u = np.linalg.eigh(s @ s.conj().T)
+    _, u = np.linalg.eigh(s @ s.conj().T)
     u_top = u[:, -1]
-    t = complex(np.vdot(u_top, s @ u_top.conj()))
-    sigma = abs(t)
-    if sigma < (1.0 - _TAKAGI_TIE_TOL) * np.sqrt(max(float(w[-1]), 0.0)):
-        return None
+    v = s.conj().T @ u_top
+    sigma = float(np.linalg.norm(v))
     if sigma <= _DEGENERATE_EIGENVALUE:
-        return sigma, np.zeros(2 * s.shape[0])
-    x = u_top.conj() * np.sqrt(t.conjugate() / sigma)
+        return sigma, np.zeros(2 * k)
+    v /= sigma
+    # ||conj(u) + v||^2 - ||conj(u) - v||^2 = 4 Re(u^T v)
+    x = u_top.conj() + v if (u_top @ v).real >= 0 else 1j * (u_top.conj() - v)
     return sigma, np.concatenate([x.real, x.imag])
 
 
@@ -360,24 +354,6 @@ def _candidate(h_hat_matrix: np.ndarray, lam: float, head: np.ndarray) -> np.nda
     if k < n:
         h[k:] = h_hat_matrix[k:, :] @ head.conj() / (lam / 2.0)
     return h
-
-
-def _head_single_pilot(h_hat_matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Closed-form K=1 head: the principal square root of the (1,1) entry.
-
-    Algebraically identical to the 2x2 eigenpath; written out to avoid the
-    eigensolver for the most common low-power configuration.
-    """
-    top = complex(h_hat_matrix[0, 0])
-    mag = abs(top)
-    if mag <= _DEGENERATE_EIGENVALUE:
-        return np.zeros(1, dtype=complex), 2.0 * mag
-    denom = mag + top.real
-    if denom <= 0:
-        head = 1j * np.sqrt(mag)
-    else:
-        head = np.sqrt(denom / 2.0) + 1j * top.imag / np.sqrt(2.0 * denom)
-    return np.array([head]), 2.0 * mag
 
 
 def _canonical_sign(h: np.ndarray) -> np.ndarray:
@@ -410,11 +386,11 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
     tail rows against the conjugated head, with ||h_K||**2 evaluated as
     lambda / 2.  The '+' sign branch is taken and then canonicalized.
 
-    At K = N that top pair comes from the K x K Hermitian S S^H, with S the
-    head's symmetric part (see :func:`_takagi_pair`), rather than from the
-    2K x 2K real block; a tied top singular value falls back to the 2K x 2K
-    spectrum.  For 1 < K < N the full 2K x 2K spectrum is solved, because
-    every positive eigenpair seeds a candidate.
+    There are two paths.  At K = 1 and K = N that top pair comes from the
+    K x K Hermitian S S^H, with S the head's symmetric part (see
+    :func:`_takagi_pair`), rather than from the 2K x 2K real block, tied top
+    values included.  For 1 < K < N the full 2K x 2K spectrum is solved,
+    because every positive eigenpair seeds a candidate.
 
     For 1 < K < N on noisy input the reduced solution is not exactly
     stationary (the head eigenproblem and the tail fill-in decouple a
@@ -439,21 +415,15 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
                               objective=0.0, degenerate=True)
 
     mn = m / scale
-    if k == 1:
-        head, lam = _head_single_pilot(mn)
-    else:
-        top = _takagi_pair(mn) if k == n else None
-        pairs = [top] if top is not None else _reduction_candidates(mn, k)
-        lam = pairs[0][0] if pairs else 0.0
+    pairs = [_takagi_pair(mn, k)] if k in (1, n) else _reduction_candidates(mn, k)
+    lam = pairs[0][0] if pairs else 0.0
     if lam <= _DEGENERATE_EIGENVALUE:
         return VectorEstimate(h_hat=np.zeros(n, dtype=complex),
                               top_eigenvalue=lam * scale,
                               objective=_rank_one_objective(m, np.zeros(n, complex), k),
                               degenerate=True)
 
-    if k > 1:
-        head = _eigen_head(*pairs[0])
-    h = _candidate(mn, lam, head)
+    h = _candidate(mn, lam, _eigen_head(*pairs[0]))
     if 1 < k < n and np.linalg.norm(_residual_gradient(
             np.outer(h, h[:k]) - mn, h, k)) > _REFINE_GRADIENT_TOL:
         candidates = [h] + [_candidate(mn, lam_i, _eigen_head(lam_i, v_i))

@@ -13,8 +13,9 @@ Sweep kinds, what their grids hold, and the rows they write:
              closed-form decoding SNR.
   TAU_SWEEP  grid = training times in seconds, > 0; decoding SNR across the
              time split plus the analytic optimal-time marker.
-  K_SWEEP    grid = pilot counts, integers in [1, N]; received power
-             normalized to one pilot and decoding SNR per count.
+  K_SWEEP    grid = pilot counts, integers in [1, N]; received power, also
+             relative to the grid's first pilot count, and decoding SNR per
+             count.
   N_SWEEP    grid = antenna counts, integers >= 1; jointly optimal design and
              the fixed / optimal-time / joint scheme SNRs.
   JOINT      grid = ranges in meters, > 0; the joint design versus distance.

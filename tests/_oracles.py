@@ -4,7 +4,8 @@ Everything here is deliberately written from first principles, not by
 calling the code under test: multi-start descent for the rank-one fitting
 problem, a spectral closed form for the linear MMSE filter under orthogonal
 pilots, the beams of the two pilot-count corners, the one-draw decoding SNR,
-DFT pilots, and plain-grid maximizers.
+DFT pilots, plain-grid maximizers and the Cramer-Rao bound of the vector
+estimate.
 The exceptions are frozen copies kept for bitwise regression checks:
 :func:`refine_reference`, the estimator's Newton refinement,
 :func:`optimal_ta_reference` / :func:`joint_design_reference`, the scalar
@@ -111,6 +112,27 @@ def corner_received_power(params, tau_c: float, pilot_count: int,
             beam = np.linalg.svd(0.5 * (h_ls + h_ls.T))[0][:, 0]
         gains[t] = abs(np.vdot(beam, h)) ** 2 / np.vdot(beam, beam).real
     return params.tx_power * float(np.mean(gains))
+
+
+def vector_crb(h: np.ndarray, k: int, var: float) -> float:
+    """Cramer-Rao bound tr F^-1 on the squared error of h from M = h h_K^T + E.
+
+    E has i.i.d. CN(0, var) entries: with orthogonal pilots that is the LS
+    estimate's error, var = N0 / E0.  The parameter is theta = [Re h; Im h],
+    J is the Jacobian of vec(h h_K^T) with respect to theta, and a complex
+    Gaussian mean in white noise has Fisher information
+    F = (2 / var) Re(J^H J).  The global sign of h is not identifiable, so
+    the bound is on min ||h_hat -/+ h||^2.
+    """
+    n = h.size
+    d = np.zeros((n, k, n), dtype=complex)   # d[i, j, l] = d(h_i h_j) / d h_l
+    idx = np.arange(n)
+    d[idx, :, idx] += h[:k]
+    d[:, np.arange(k), np.arange(k)] += h[:, None]
+    jac = d.reshape(n * k, n)
+    jac = np.concatenate([jac, 1j * jac], axis=1)   # columns d / d Re h, d / d Im h
+    fisher = (2.0 / var) * (jac.conj().T @ jac).real
+    return float(np.trace(np.linalg.inv(fisher)))
 
 
 def effective_snr_sample(h_hat: np.ndarray, h: np.ndarray, params,

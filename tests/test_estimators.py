@@ -17,7 +17,6 @@ from bsc_estim.estimators import (
     MatrixEstimate,
     _candidate,
     _eigen_head,
-    _head_single_pilot,
     _reduction_candidates,
     _takagi_pair,
     lmmse_gain,
@@ -32,6 +31,7 @@ from _oracles import (
     numerical_gradient,
     rank_one_objective,
     refine_reference,
+    vector_crb,
 )
 
 
@@ -313,34 +313,24 @@ class TestVectorEstimate:
             g = numerical_gradient(fun, x, step=1e-6)
             assert np.linalg.norm(g) <= 1e-6 * (1.0 + np.linalg.norm(m)), (n, k)
 
-    def test_single_pilot_closed_form_matches_general_path(self):
-        rng = np.random.default_rng(66)
-        for _ in range(25):
-            m = (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1)))
-            head_fast, lam_fast = _head_single_pilot(m)
-            lam_gen, v = _reduction_candidates(m, 1)[0]
-            head_gen = _eigen_head(lam_gen, v)
-            assert lam_fast == pytest.approx(lam_gen, rel=1e-9)
-            err = min(np.linalg.norm(head_fast - head_gen),
-                      np.linalg.norm(head_fast + head_gen))
-            assert err <= 1e-9 * np.linalg.norm(head_fast)
-
-    def test_k_equals_n_matches_realified_eigenpath(self):
-        # K = N goes through the K x K Takagi path; the 2K x 2K eigenpath it
-        # replaces is the oracle, on seeded LS and LMMSE draws
-        for n in (2, 3, 8, 20, 40):
-            cfg = PilotConfig(n, 1e-4)
-            for gamma_e_db in (-10.0, 0.0, 10.0, 30.0):
+    @pytest.mark.parametrize("corner", ["1", "N"])
+    def test_corners_match_realified_eigenpath(self, corner):
+        # K = 1 and K = N go through the K x K Takagi pair; the 2K x 2K
+        # eigenpath it replaces is the oracle, on seeded LS and LMMSE draws
+        for n in (1, 2, 3, 8, 20, 40):
+            k = 1 if corner == "1" else n
+            cfg = PilotConfig(k, 1e-4)
+            for gamma_e_db in (-10.0, 0.0, 10.0, 20.0, 30.0):
                 params = params_at_ce_snr_db(gamma_e_db, n_antennas=n)
-                pilots = build_pilots(n, cfg.ce_time, params.tx_power)
+                pilots = build_pilots(k, cfg.ce_time, params.tx_power)
                 for t in range(40):
-                    chan = draw_channel(params, (606, t, 0), pilot_count=n)
+                    chan = draw_channel(params, (606, t, 0), pilot_count=k)
                     rx = backscatter(chan, pilots, params.tag_amp_ce,
                                      params.noise_var, (606, t, 1))
                     ls = ls_matrix(rx)
                     mm = lmmse_matrix(ls, params.beta, params.noise_var)
                     for est in (ls, mm):
-                        case = (n, gamma_e_db, t, est.flavor)
+                        case = (n, k, gamma_e_db, t, est.flavor)
                         got = vector_estimate(est)
                         h, lam, obj = _eigenpath_oracle(est.h_hat_matrix)
                         err = min(np.linalg.norm(got.h_hat - h),
@@ -350,16 +340,23 @@ class TestVectorEstimate:
                         assert got.objective == pytest.approx(obj, rel=1e-12), case
 
     @pytest.mark.parametrize("n", [3, 8, 20])
-    def test_k_equals_n_tied_top_value_falls_back(self, n):
-        # conj(M) + conj(M)^T = Q diag(1, 1, 1/2, ...) Q^T: the top Takagi
-        # value is doubled, so u^H S conj(u) falls short of it
+    @pytest.mark.parametrize("top", [(1.0, 1.0), (1.0, 1.0 - 1e-8), (1.0, 1.0, 1.0)],
+                             ids=["exact", "near", "triple"])
+    def test_k_equals_n_tied_top_value(self, n, top):
+        # conj(M) + conj(M)^T = Q diag(top, 1/2, ...) Q^T: the top Takagi
+        # value is tied, so its left singular vector u is not unique; the
+        # pair built from u still solves S x = sigma conj(x)
         rng = np.random.default_rng(607 + n)
         q, _ = np.linalg.qr(rng.standard_normal((n, n))
                             + 1j * rng.standard_normal((n, n)))
         sigma = np.full(n, 0.5)
-        sigma[:2] = 1.0
+        sigma[:len(top)] = top
         m = ((q * sigma) @ q.T).conj() / 2.0
-        assert _takagi_pair(m / np.linalg.norm(m)) is None
+        mn = m / np.linalg.norm(m)
+        lam, v = _takagi_pair(mn, n)
+        x = (v[:n] + 1j * v[n:]) / np.linalg.norm(v)
+        s = mn.conj() + mn.conj().T
+        assert np.linalg.norm(s @ x - lam * x.conj()) <= 1e-12 * lam
         got = vector_estimate(MatrixEstimate(m, LS, E0))
         _, lam, obj = _eigenpath_oracle(m)
         assert got.top_eigenvalue == pytest.approx(lam, rel=1e-12)
@@ -448,3 +445,40 @@ class TestVectorEstimate:
             sibling_wins += int(np.argmin(refined)) != 0
         assert sibling_wins >= 5
 
+
+
+class TestCramerRao:
+    # With orthogonal pilots the LS matrix carries white error N0 / E0 per
+    # entry, so at both corners the vector estimate is the ML fit of h up to
+    # sign and attains the Cramer-Rao bound at high training SNR
+    @staticmethod
+    def _mean_crb_ratio(n, k, gamma_e_db, draws=1500, seed=6061):
+        """Mean over seeded LS draws of min ||h -/+ h_hat||^2 / CRB(h)."""
+        params = params_at_ce_snr_db(gamma_e_db, n_antennas=n)
+        pilots = build_pilots(k, 1e-4, params.tx_power)
+        ratios = np.empty(draws)
+        for t in range(draws):
+            chan = draw_channel(params, (seed, t, 0), pilot_count=k)
+            rx = backscatter(chan, pilots, params.tag_amp_ce, params.noise_var,
+                             (seed, t, 1))
+            ls = ls_matrix(rx)
+            h_hat = vector_estimate(ls).h_hat
+            err = min(np.linalg.norm(h_hat - chan.h),
+                      np.linalg.norm(h_hat + chan.h)) ** 2
+            ratios[t] = err / vector_crb(chan.h, k, params.noise_var / ls.pilot_energy)
+        return float(ratios.mean())
+
+    @pytest.mark.parametrize("gamma_e_db", [20.0, 30.0])
+    @pytest.mark.parametrize("n,k", [(8, 1), (8, 8), (20, 20)])
+    def test_ls_corners_attain_crb(self, n, k, gamma_e_db):
+        ratio = self._mean_crb_ratio(n, k, gamma_e_db)
+        print(f"N = {n}, K = {k}, {gamma_e_db:+.0f} dB: mean error / CRB = {ratio:.4f}")
+        assert 0.9 <= ratio <= 1.1
+
+    @pytest.mark.parametrize("gamma_e_db", [20.0, 30.0])
+    def test_report_single_pilot_crb_ratio_at_n20(self, gamma_e_db):
+        # reported, not banded: at K = 1, CRB(h) grows as 1 / |h_1|^2, so the
+        # per-draw ratio has a heavy tail and its mean over 1500 draws is loose
+        ratio = self._mean_crb_ratio(20, 1, gamma_e_db)
+        print(f"N = 20, K = 1, {gamma_e_db:+.0f} dB: mean error / CRB = {ratio:.4f}")
+        assert np.isfinite(ratio) and ratio > 0.0

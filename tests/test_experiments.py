@@ -235,16 +235,24 @@ class TestRunExperiment:
         assert at_tau.size and np.all(at_tau == 0.0)
         assert list(table.metric).count("tau_c_opt") == 1
 
-    def test_k_sweep_normalization(self, tmp_path):
-        cfg = _quick_cfg(tmp_path, """
+    @pytest.mark.parametrize("grid,first,last", [("1, 2, 3, 4", 1, 4), ("2, 4", 2, 4)])
+    def test_k_sweep_normalization(self, tmp_path, grid, first, last):
+        # p_r_norm is relative to the grid's first pilot count, not to K = 1
+        cfg = _quick_cfg(tmp_path, f"""
             n_antennas = 4
             trials = 60
             sweep = K_SWEEP
+            sweep_grid = {grid}
             estimator = LS
         """)
         table = run_experiment(cfg)
-        norm1 = table.value[(table.metric == "p_r_norm_ls") & (table.sweep_value == 1)]
-        assert norm1.tolist() == [pytest.approx(1.0, rel=1e-12)]
+
+        def at(metric, k):
+            (value,) = table.value[(table.metric == metric) & (table.sweep_value == k)]
+            return value
+
+        assert at("p_r_norm_ls", first) == 1.0
+        assert at("p_r_norm_ls", last) == at("p_r_ls", last) / at("p_r_ls", first)
 
     def test_compare_reproduces_isotropic_normalization(self, tmp_path):
         cfg = _quick_cfg(tmp_path, """
@@ -451,11 +459,28 @@ class TestCli:
             sweep_grid = 0
             estimator = LS
         """)
-        res = run_cli("run", "--config", cfg, "--out",
-                        str(tmp_path / "missing_dir" / "rows.csv"),
-                        "--workers", "1")
+        # the output path is a directory, so the final rename fails
+        out = tmp_path / "rows.csv"
+        out.mkdir()
+        res = run_cli("run", "--config", cfg, "--out", str(out), "--workers", "1")
         assert res.returncode == 2
         assert "runtime error" in res.stderr
+
+    @pytest.mark.parametrize("via", ["--out", "output_path"])
+    def test_missing_output_directory_fails_at_load(self, tmp_path, capsys,
+                                                    monkeypatch, via):
+        monkeypatch.setattr("bsc_estim.experiments.iter_experiment", pytest.fail)
+        missing = tmp_path / "missing_dir"
+        out = missing / "rows.csv"
+        if via == "--out":
+            argv = ["--config", _write(tmp_path, "trials = 3\n"), "--out", str(out)]
+        else:
+            argv = ["--config", _write(tmp_path, f"trials = 3\noutput_path = {out}\n")]
+        rc = cli.main(["run", *argv])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"config error: output directory does not exist: {str(missing)!r}\n")
+        assert not missing.exists()
 
     def test_failed_run_leaves_nothing_at_output_path(self, tmp_path, monkeypatch):
         def failing(cfg):
