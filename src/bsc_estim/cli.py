@@ -1,4 +1,8 @@
-"""Command-line front end: run sweeps, print the joint design, self-test."""
+"""Command-line front end: run sweeps, print the joint design, self-test.
+
+numpy is imported inside the commands, not here, so that :func:`main` can
+choose OpenBLAS's thread count before numpy loads it.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +11,14 @@ import json
 import os
 import sys
 
-import numpy as np
+from . import KERNEL_BLAS_THREADS
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
+
+# The variables OpenBLAS reads its thread count from when it loads
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,19 +44,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _default_blas_threads() -> None:
+    """Start OpenBLAS at :data:`~bsc_estim.KERNEL_BLAS_THREADS` threads.
+
+    OpenBLAS reads its thread count once, when numpy loads it, and its idle
+    helper threads busy-wait from then on; pinning the count later does not
+    stop that.  So the default goes into the environment before numpy is
+    imported.  Nothing changes when the user set any of OpenBLAS's variables,
+    or when numpy is loaded already (an in-process caller), where the
+    variable could no longer act and would only leak into the process.
+    """
+    if "numpy" in sys.modules or any(v in os.environ for v in _BLAS_THREAD_VARS):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = str(KERNEL_BLAS_THREADS)
+
+
 def _run_header(workers: int) -> str:
     """One line on what a run runs with: workers, BLAS build, BLAS threads."""
-    from .snr import KERNEL_BLAS_THREADS, blas_threads
+    import numpy as np
+
+    from .snr import blas_threads
 
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         build = f"{blas.get('name')} {blas.get('version')}"
     except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
         build = "unknown"
-    threads = (KERNEL_BLAS_THREADS if blas_threads() is not None
-               else "unpinned (no OpenBLAS loaded in this process)")
-    return (f"bsc-estim run: workers={workers}, blas={build}, "
-            f"blas_threads_per_process={threads}")
+    start = blas_threads()
+    threads = ("blas_threads=unpinned (no OpenBLAS loaded in this process)"
+               if start is None else
+               f"blas_threads_at_start={start}, kernel_blas_threads={KERNEL_BLAS_THREADS}")
+    return f"bsc-estim run: workers={workers}, blas={build}, {threads}"
 
 
 def _cmd_run(args) -> int:
@@ -77,6 +102,10 @@ def _cmd_run(args) -> int:
     directory = os.path.dirname(cfg.output_path) or "."
     if not os.path.isdir(directory):
         print(f"config error: output directory does not exist: {directory!r}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
+    if os.path.isdir(cfg.output_path):
+        print(f"config error: output path is a directory: {cfg.output_path!r}",
               file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -110,6 +139,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    import numpy as np
+
     from .experiments import ConfigError, load_config
     from .optimizer import decide
 
@@ -135,6 +166,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _selftest_checks():
+    import numpy as np
+
     from .channel import SystemParams, backscatter, build_pilots, draw_channel, path_loss_beta
     from .estimators import ls_matrix, vector_estimate
     from .optimizer import optimal_ta, snr_threshold
@@ -184,6 +217,7 @@ def _cmd_selftest() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _default_blas_threads()
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)

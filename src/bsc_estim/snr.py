@@ -12,8 +12,14 @@ its channel and noise streams from the seed tuples (seed, t, 0) and
 (seed, t, 1), and reductions use exact compensated summation, so results do
 not depend on chunking or worker count.
 
-Trials run with one BLAS thread per process, in the caller or in one worker
-pool per process that later calls reuse.
+Trials run with :data:`~bsc_estim.KERNEL_BLAS_THREADS` BLAS threads per
+process, in the caller or in one worker pool per process that later calls
+reuse.  Two mechanisms hold that count.  ``bsc-estim`` writes it to
+``OPENBLAS_NUM_THREADS`` before numpy loads: only a count OpenBLAS reads at
+start keeps its helper threads from busy-waiting through the run.  Library
+callers (tests, in-process benchmark runs) load numpy before any of this
+package's code runs, so the kernel also pins the count per call through
+OpenBLAS's own API, and the worker pool's initializer pins each worker.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import KERNEL_BLAS_THREADS
 from .channel import (
     ParamGrid,
     PilotConfig,
@@ -187,11 +194,6 @@ def approx_moments(flavor: str, cfg: PilotConfig, params: SystemParams,
 # ---------------------------------------------------------------------------
 # BLAS threads and the worker pool
 
-# A trial's dense problems are tiny (a K x K Hermitian eigh at K = N, a
-# 2K x 2K real eigh and 2N x 2N solves for 1 < K < N): threaded BLAS only
-# spins on them, so every process that runs trials uses one thread.
-KERNEL_BLAS_THREADS = 1
-
 # (get, set) symbol names, ILP64 scipy-openblas wheels first
 _OPENBLAS_SYMBOLS = tuple(
     (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
@@ -253,7 +255,8 @@ class _WorkerPool:
 
     Created on first use, replaced when the worker count changes or a worker
     dies, and shut down at exit.  An initializer pins each worker to
-    :data:`KERNEL_BLAS_THREADS`, so it holds under ``fork`` and ``spawn``;
+    :data:`KERNEL_BLAS_THREADS`, so it holds under ``fork`` and ``spawn``
+    and for library callers whose OpenBLAS started with more threads;
     ``mp_context`` picks the start method (None: the platform default).
     The process pool and ``multiprocessing`` are imported on first use, so
     a run that never goes parallel does not load them.
@@ -352,7 +355,9 @@ def _mc_samples(params: SystemParams, cfg: PilotConfig, flavors: tuple[str, ...]
     Every flavor sees the same channel, noise and LS estimate of each trial.
     Serial calls run with this process pinned to :data:`KERNEL_BLAS_THREADS`
     and restore its previous BLAS thread count on return; parallel calls
-    run on the process's reusable worker pool.
+    run on the process's reusable worker pool.  The CLI starts its process
+    at that count unless the user chose another; the pin covers that choice
+    and library callers, whose numpy loaded before any count could be set.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -16,7 +16,7 @@ from bsc_estim.experiments import (
     run_experiment,
     write_csv,
 )
-from conftest import run_cli
+from conftest import run_cli, run_python
 
 DATA = Path(__file__).parent / "data"
 
@@ -367,6 +367,12 @@ class TestGoldenCsv:
         assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
 
 
+def _fail_after_one_table(cfg):
+    """Stand-in for iter_experiment: one one-row table, then a runtime error."""
+    yield ResultTable.from_rows([(0.0, "p_r_ls", 1.0, 0.0, 5)])
+    raise RuntimeError("injected failure after one table")
+
+
 def _blas_build():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"{blas['name']} {blas['version']}"
@@ -404,12 +410,14 @@ class TestCli:
             estimator = LS
         """)
         out = tmp_path / "rows.csv"
+        # this process's own count, which the kernel pins down for its calls
+        threads = (f"blas_threads_at_start={snr.blas_threads()}, "
+                   f"kernel_blas_threads={snr.KERNEL_BLAS_THREADS}" if openblas
+                   else "blas_threads=unpinned (no OpenBLAS loaded in this process)")
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        threads = "1" if openblas else "unpinned (no OpenBLAS loaded in this process)"
         assert captured.err.splitlines() == [
-            f"bsc-estim run: workers=1, blas={_blas_build()}, "
-            f"blas_threads_per_process={threads}"]
+            f"bsc-estim run: workers=1, blas={_blas_build()}, {threads}"]
         assert captured.out == f"wrote 16 rows to {out}\n"
 
     def test_workers_override_zero_means_auto(self, tmp_path, monkeypatch, capsys):
@@ -450,21 +458,29 @@ class TestCli:
         assert res.returncode == 1
         assert "config error" in res.stderr
 
-    def test_runtime_error_exit_two(self, tmp_path):
-        cfg = _write(tmp_path, """
-            n_antennas = 3
-            pilot_count = 3
-            trials = 5
-            sweep = SNR_SWEEP
-            sweep_grid = 0
-            estimator = LS
-        """)
-        # the output path is a directory, so the final rename fails
+    def test_runtime_error_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("bsc_estim.experiments.iter_experiment",
+                            _fail_after_one_table)
+        rc = cli.main(["run", "--config", _write(tmp_path, ""),
+                       "--out", str(tmp_path / "rows.csv")])
+        assert rc == 2
+        assert "runtime error: injected failure after one table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["--out", "output_path"])
+    def test_output_path_that_is_a_directory_fails_at_load(self, tmp_path, capsys,
+                                                           monkeypatch, via):
+        monkeypatch.setattr("bsc_estim.experiments.iter_experiment", pytest.fail)
         out = tmp_path / "rows.csv"
         out.mkdir()
-        res = run_cli("run", "--config", cfg, "--out", str(out), "--workers", "1")
-        assert res.returncode == 2
-        assert "runtime error" in res.stderr
+        if via == "--out":
+            argv = ["--config", _write(tmp_path, "trials = 3\n"), "--out", str(out)]
+        else:
+            argv = ["--config", _write(tmp_path, f"trials = 3\noutput_path = {out}\n")]
+        rc = cli.main(["run", *argv])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"config error: output path is a directory: {str(out)!r}\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("via", ["--out", "output_path"])
     def test_missing_output_directory_fails_at_load(self, tmp_path, capsys,
@@ -483,11 +499,8 @@ class TestCli:
         assert not missing.exists()
 
     def test_failed_run_leaves_nothing_at_output_path(self, tmp_path, monkeypatch):
-        def failing(cfg):
-            yield ResultTable.from_rows([(0.0, "p_r_ls", 1.0, 0.0, 5)])
-            raise RuntimeError("injected failure after one row")
-
-        monkeypatch.setattr("bsc_estim.experiments.iter_experiment", failing)
+        monkeypatch.setattr("bsc_estim.experiments.iter_experiment",
+                            _fail_after_one_table)
         out = tmp_path / "rows.csv"
         rc = cli.main(["run", "--config", _write(tmp_path, ""), "--out", str(out)])
         assert rc == 2
@@ -605,3 +618,62 @@ class TestCli:
         res = run_cli("selftest")
         assert res.returncode == 0, res.stdout + res.stderr
         assert "FAIL" not in res.stdout
+
+
+needs_openblas = pytest.mark.skipif(snr.blas_threads() is None,
+                                    reason="numpy loaded no OpenBLAS here")
+
+
+class TestBlasThreadDefault:
+    """``bsc-estim`` starts OpenBLAS at the kernel's thread count before
+    numpy loads, unless the user chose a count or numpy is loaded already."""
+
+    TINY = """
+        n_antennas = 3
+        pilot_count = 3
+        trials = 8
+        sweep = SNR_SWEEP
+        sweep_grid = 0
+        estimator = LS
+    """
+
+    def test_importing_the_package_and_cli_loads_no_numpy(self):
+        res = run_python("-c", (
+            "import os, sys; before = dict(os.environ)\n"
+            "import bsc_estim, bsc_estim.cli\n"
+            "print('numpy' in sys.modules, dict(os.environ) == before)"))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False True\n"
+
+    @needs_openblas
+    @pytest.mark.parametrize("var,threads", [
+        (None, snr.KERNEL_BLAS_THREADS),
+        ("OPENBLAS_NUM_THREADS", 2),
+        ("OMP_NUM_THREADS", 2),
+    ])
+    def test_cli_process_starts_openblas_at_kernel_count_unless_user_set(
+            self, tmp_path, monkeypatch, var, threads):
+        if threads > len(os.sched_getaffinity(0)):
+            pytest.skip("OpenBLAS caps its threads at the CPUs this process may use")
+        for name in cli._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        if var is not None:
+            monkeypatch.setenv(var, str(threads))
+        res = run_cli("run", "--config", _write(tmp_path, self.TINY),
+                      "--out", str(tmp_path / "rows.csv"), "--workers", "1")
+        assert res.returncode == 0, res.stderr
+        assert (f"blas_threads_at_start={threads}, "
+                f"kernel_blas_threads={snr.KERNEL_BLAS_THREADS}") in res.stderr
+
+    def test_in_process_main_leaves_environment_alone(self, tmp_path, monkeypatch,
+                                                      capsys):
+        # numpy is loaded here, so a variable could no longer act
+        for name in cli._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        before = dict(os.environ)
+        threads = snr.blas_threads()
+        assert cli.main(["run", "--config", _write(tmp_path, self.TINY),
+                         "--out", str(tmp_path / "rows.csv"), "--workers", "1"]) == 0
+        assert dict(os.environ) == before
+        if threads is not None:
+            assert f"blas_threads_at_start={threads}," in capsys.readouterr().err

@@ -11,6 +11,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+import pytest
+
 import bsc_estim
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -64,4 +66,19 @@ def test_positional_reads_keep_position_and_name():
 
 
 def test_every_exported_name_exists():
+    assert len(set(bsc_estim.__all__)) == len(bsc_estim.__all__)
     assert [name for name in bsc_estim.__all__ if not hasattr(bsc_estim, name)] == []
+    # and is the object its home module defines
+    assert [name for name in bsc_estim.__all__ if name != "__version__"
+            and getattr(bsc_estim, name) is not getattr(importlib.import_module(
+                f"bsc_estim.{bsc_estim._EXPORTS[name]}"), name)] == []
+
+
+def test_dir_lists_every_exported_name():
+    assert set(bsc_estim.__all__) <= set(dir(bsc_estim))
+
+
+def test_unexported_name_is_an_attribute_error():
+    # the error that lets ``from bsc_estim import snr`` import the submodule
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bsc_estim.no_such_name
