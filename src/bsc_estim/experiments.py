@@ -1,10 +1,12 @@
 """Batch experiment runner: config parsing, sweep orchestration, CSV output.
 
-Configs are flat ``key = value`` text with ``#`` comments.  Missing keys fall
-back to the reference reader setup (20 antennas, 1 ms coherence time, 1 W
-transmit power at 915 MHz over 100 m, 1e-20 J noise).  Every run is fully
-determined by (config, seed): trials are sub-seeded by index and reductions
-are order-exact, so identical runs produce byte-identical CSV files.
+Configs are flat ``key = value`` text with ``#`` comments.  Each key's
+parser and default, which is the reference reader setup, are stated once, in
+``_KEYS``; each sweep kind's runner, envelope row and default grid once, in
+``_SWEEPS``.  Checks that span more than one key are code in
+:func:`load_config`.  Every run is fully determined by (config, seed):
+trials are sub-seeded by index and reductions are order-exact, so identical
+runs produce byte-identical CSV files.
 
 Sweep kinds, what their grids hold, and the rows they write:
 
@@ -22,6 +24,10 @@ Sweep kinds, what their grids hold, and the rows they write:
   COMPARE    grid = ranges in meters, > 0; all scheme SNRs plus
              normalizations against the perfect-knowledge benchmark.
 
+JOINT and COMPARE derive beta at each range, so a config that gives them
+``beta`` fails at load, as does one that sets both ``tx_power`` and
+``tx_power_dbm``.
+
 Results travel as columns: a :class:`ResultTable` holds one array per CSV
 field.  Monte Carlo sweeps call :func:`~bsc_estim.snr.mc_metrics` once per
 sweep point for every flavor, so LS and LMMSE rows come from the same
@@ -37,7 +43,8 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,39 +67,51 @@ from .snr import (
     snr_perfect_csi_grid,
 )
 
-SWEEP_KINDS = ("SNR_SWEEP", "TAU_SWEEP", "K_SWEEP", "N_SWEEP", "JOINT", "COMPARE")
 ESTIMATORS = (LS, LMMSE, "BOTH")
 
-# Reference defaults used when a config omits a key.
-DEFAULTS = {
-    "n_antennas": 20,
-    "coherence_time": 1e-3,
-    "sample_len": 5e-6,
-    "tx_power": 1.0,             # 30 dBm
-    "tag_amp_ce": 0.78,
-    "tag_amp_id": 0.3162,
-    "noise_var": 1e-20,
-    "carrier_freq": 915e6,
-    "distance": 100.0,
-    "pathloss_exp": 2.5,
-    "pilot_count": 20,
-    "ce_time": 1e-4,
-    "sweep": "SNR_SWEEP",
-    "trials": 10_000,
-    "seed": 1,
-    "estimator": "BOTH",
-    "output_path": "results.csv",
-    "workers": 0,                # 0 = auto, see resolve_workers
-    "has_prior_stats": True,
-}
 
-DEFAULT_GRIDS = {
-    "SNR_SWEEP": [-20.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0],
-    "TAU_SWEEP": [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9],  # fractions of tau
-    "K_SWEEP": None,             # 1..N, filled at load time
-    "N_SWEEP": [2.0, 5.0, 10.0, 20.0, 50.0, 100.0],
-    "JOINT": [60.0, 80.0, 100.0, 120.0, 150.0, 180.0],
-    "COMPARE": [60.0, 80.0, 100.0, 120.0, 150.0, 180.0],
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected boolean, got {raw!r}")
+
+
+def _parse_grid(raw: str) -> list[float]:
+    return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+# Every config key: its parser, and the value it takes when a config omits
+# it, which is the reference reader setup.  A None default means the key's
+# absence has its own meaning: beta comes from the link budget, pilot_count
+# is n_antennas, tx_power_dbm leaves tx_power as it is, and sweep_grid is
+# the sweep kind's default grid.
+_KEYS = {
+    "n_antennas": (int, 20),
+    "coherence_time": (float, 1e-3),
+    "sample_len": (float, 5e-6),
+    "tx_power": (float, 1.0),              # 30 dBm
+    "tx_power_dbm": (float, None),
+    "tag_amp_ce": (float, 0.78),
+    "tag_amp_id": (float, 0.3162),
+    "noise_var": (float, 1e-20),
+    "carrier_freq": (float, 915e6),
+    "distance": (float, 100.0),
+    "pathloss_exp": (float, 2.5),
+    "beta": (float, None),
+    "pilot_count": (int, None),
+    "ce_time": (float, 1e-4),
+    "quantize_ce_time": (_parse_bool, False),
+    "sweep": (str, "SNR_SWEEP"),
+    "sweep_grid": (_parse_grid, None),
+    "trials": (int, 10_000),
+    "seed": (int, 1),
+    "estimator": (str, "BOTH"),
+    "output_path": (str, "results.csv"),
+    "workers": (int, 0),                   # 0 = auto, see resolve_workers
+    "has_prior_stats": (_parse_bool, True),
 }
 
 # Most worker processes a run may use.  The pool starts every worker at its
@@ -181,47 +200,15 @@ _COLUMN_DTYPES = {"sweep_value": np.float64, "metric": object, "value": np.float
                   "std_error": np.float64, "trials": np.int64}
 
 
-_INT_KEYS = {"n_antennas", "pilot_count", "trials", "seed", "workers"}
-_FLOAT_KEYS = {
-    "coherence_time", "sample_len", "tx_power", "tx_power_dbm", "tag_amp_ce",
-    "tag_amp_id", "noise_var", "carrier_freq", "distance", "pathloss_exp",
-    "beta", "ce_time",
-}
-_BOOL_KEYS = {"has_prior_stats", "quantize_ce_time"}
-_STR_KEYS = {"sweep", "estimator", "output_path"}
-_LIST_KEYS = {"sweep_grid"}
-
-
-def _parse_value(key: str, raw: str, lineno: int):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"expected boolean, got {raw!r}")
-        if key in _LIST_KEYS:
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-
-
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a config file, filling defaults for absent keys."""
-    raw: dict[str, object] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
-    known = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS | _LIST_KEYS
+    given: dict[str, object] = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -230,55 +217,49 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {text!r}")
         key, _, value = text.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in known:
+        if key not in _KEYS:
             warnings.warn(f"{path}:{lineno}: ignoring unknown key {key!r}")
             continue
-        raw[key] = _parse_value(key, value, lineno)
+        try:
+            given[key] = _KEYS[key][0](value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
-    merged = {**DEFAULTS, **{k: v for k, v in raw.items() if k in DEFAULTS}}
+    values = {key: given.get(key, default) for key, (_, default) in _KEYS.items()}
     try:
-        if "tx_power_dbm" in raw:
-            check_envelope("tx_power_dbm", [raw["tx_power_dbm"]])
-            merged["tx_power"] = 10.0 ** (raw["tx_power_dbm"] / 10.0) / 1000.0
-        params = SystemParams(
-            n_antennas=merged["n_antennas"],
-            coherence_time=merged["coherence_time"],
-            sample_len=merged["sample_len"],
-            tx_power=merged["tx_power"],
-            tag_amp_ce=merged["tag_amp_ce"],
-            tag_amp_id=merged["tag_amp_id"],
-            noise_var=merged["noise_var"],
-            carrier_freq=merged["carrier_freq"],
-            distance=merged["distance"],
-            pathloss_exp=merged["pathloss_exp"],
-            beta=raw.get("beta"),
-        )
-        ce_time = merged["ce_time"]
+        if values["tx_power_dbm"] is not None:
+            if "tx_power" in given:
+                raise ValueError("set tx_power or tx_power_dbm, not both")
+            check_envelope("tx_power_dbm", [values["tx_power_dbm"]])
+            values["tx_power"] = 10.0 ** (values["tx_power_dbm"] / 10.0) / 1000.0
+        params = SystemParams(**{f.name: values[f.name] for f in fields(SystemParams)})
+        ce_time = values["ce_time"]
         check_envelope("ce_time", [ce_time])
-        if raw.get("quantize_ce_time"):
+        if values["quantize_ce_time"]:
             ce_time = quantize_ce_time(ce_time, params.sample_len)
-        # the reference setup trains from every antenna
-        pilot_count = raw.get("pilot_count", params.n_antennas)
+        # the reference setup trains from every antenna; pilot_count = 0 fails
+        pilot_count = values["pilot_count"]
+        if pilot_count is None:
+            pilot_count = params.n_antennas
         pilot = PilotConfig(pilot_count=pilot_count, ce_time=ce_time)
         pilot.validate_against(params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    sweep = merged["sweep"].upper()
-    if sweep not in SWEEP_KINDS:
-        raise ConfigError(f"sweep must be one of {SWEEP_KINDS}, got {sweep!r}")
-    estimator = merged["estimator"].upper()
+    sweep = values["sweep"].upper()
+    if sweep not in _SWEEPS:
+        raise ConfigError(f"sweep must be one of {tuple(_SWEEPS)}, got {sweep!r}")
+    estimator = values["estimator"].upper()
     if estimator not in ESTIMATORS:
         raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    if _SWEEPS[sweep].row == "distance" and values["beta"] is not None:
+        # a range sweep derives beta at each range and would ignore this one
+        raise ConfigError(f"{sweep} derives beta from each range in sweep_grid; "
+                          "remove the beta key")
 
-    grid = raw.get("sweep_grid")
+    grid = values["sweep_grid"]
     if grid is None:
-        if sweep == "K_SWEEP":
-            grid = [float(k) for k in range(1, params.n_antennas + 1)]
-        elif sweep == "TAU_SWEEP":
-            grid = [f * params.coherence_time for f in DEFAULT_GRIDS["TAU_SWEEP"]]
-        else:
-            grid = list(DEFAULT_GRIDS[sweep])
+        grid = _SWEEPS[sweep].default_grid(params)
     if not grid:
         raise ConfigError("sweep_grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -286,23 +267,10 @@ def load_config(path: str) -> ExperimentConfig:
     _check_grid(sweep, grid, params, pilot.ce_time)
 
     return ExperimentConfig(
-        params=params,
-        pilot=pilot,
-        sweep=sweep,
-        sweep_grid=tuple(grid),
-        trials=merged["trials"],
-        seed=merged["seed"],
-        estimator=estimator,
-        output_path=merged["output_path"],
-        workers=merged["workers"],
-        has_prior_stats=merged["has_prior_stats"],
-    )
-
-
-# The envelope row each sweep kind's grid values lie in.
-_GRID_ROWS = {"SNR_SWEEP": "training_snr_db", "TAU_SWEEP": "ce_time",
-              "K_SWEEP": "n_antennas", "N_SWEEP": "n_antennas",
-              "JOINT": "distance", "COMPARE": "distance"}
+        params=params, pilot=pilot, sweep=sweep, sweep_grid=tuple(grid),
+        trials=values["trials"], seed=values["seed"], estimator=estimator,
+        output_path=values["output_path"], workers=values["workers"],
+        has_prior_stats=values["has_prior_stats"])
 
 
 def _check_grid(sweep: str, grid: list[float], params: SystemParams,
@@ -324,7 +292,7 @@ def _check_grid(sweep: str, grid: list[float], params: SystemParams,
     if bad:
         raise ConfigError(f"{sweep} sweep_grid values must be {want}, got {bad}")
     try:
-        check_envelope(_GRID_ROWS[sweep], grid)
+        check_envelope(_SWEEPS[sweep].row, grid)
         if sweep == "SNR_SWEEP":
             for v in grid:
                 _params_for_ce_snr_db(params, ce_time, v)
@@ -362,20 +330,7 @@ def iter_experiment(cfg: ExperimentConfig):
     """Yield result tables in row order: one per Monte Carlo sweep point
     (lets callers flush early), or one for a closed-form sweep's whole grid."""
     cfg = replace(cfg, workers=resolve_workers(cfg.workers))
-    if cfg.sweep == "SNR_SWEEP":
-        yield from _run_snr_sweep(cfg)
-    elif cfg.sweep == "TAU_SWEEP":
-        yield from _run_tau_sweep(cfg)
-    elif cfg.sweep == "K_SWEEP":
-        yield from _run_k_sweep(cfg)
-    elif cfg.sweep == "N_SWEEP":
-        yield _run_n_sweep(cfg)
-    elif cfg.sweep == "JOINT":
-        yield _run_joint(cfg)
-    elif cfg.sweep == "COMPARE":
-        yield _run_compare(cfg)
-    else:  # pragma: no cover - guarded by load_config
-        raise ValueError(f"unknown sweep {cfg.sweep!r}")
+    yield from _SWEEPS[cfg.sweep].run(cfg)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
@@ -419,7 +374,6 @@ def _run_tau_sweep(cfg: ExperimentConfig):
                 + [(tau_c, "snr_approx", 0.0, 0.0, 0)])
             continue
         pilot = PilotConfig(pilot_count=cfg.pilot.pilot_count, ce_time=tau_c)
-        pilot.validate_against(cfg.params)
         est = mc_metrics(cfg.params, pilot, flavors, cfg.trials, cfg.seed,
                          ("snr",), cfg.workers)
         rows = []
@@ -444,7 +398,6 @@ def _run_k_sweep(cfg: ExperimentConfig):
     for k_val in cfg.sweep_grid:
         k = int(k_val)
         pilot = PilotConfig(pilot_count=k, ce_time=cfg.pilot.ce_time)
-        pilot.validate_against(cfg.params)
         # p_r and snr in two passes: perfbench/run.py expects two per K_SWEEP trial
         power = mc_metrics(cfg.params, pilot, flavors, cfg.trials, cfg.seed,
                            ("p_r",), cfg.workers)
@@ -495,26 +448,50 @@ def _scheme_columns(grid: ParamGrid, tau_c0: float) -> dict[str, np.ndarray]:
     }
 
 
-def _run_n_sweep(cfg: ExperimentConfig) -> ResultTable:
+def _run_n_sweep(cfg: ExperimentConfig):
     counts = [int(v) for v in cfg.sweep_grid]
     grid = ParamGrid.over_antennas(cfg.params, counts)
-    return _closed_form_table(counts, _scheme_columns(grid, cfg.pilot.ce_time))
+    yield _closed_form_table(counts, _scheme_columns(grid, cfg.pilot.ce_time))
 
 
-def _run_joint(cfg: ExperimentConfig) -> ResultTable:
+def _run_joint(cfg: ExperimentConfig):
     tau_c, k, snr = joint_optimize_grid(ParamGrid.over_ranges(cfg.params, cfg.sweep_grid))
-    return _closed_form_table(cfg.sweep_grid, {
+    yield _closed_form_table(cfg.sweep_grid, {
         "tau_c_joint": tau_c, "k_joint": k.astype(float), "snr_joint": snr})
 
 
-def _run_compare(cfg: ExperimentConfig) -> ResultTable:
+def _run_compare(cfg: ExperimentConfig):
     grid = ParamGrid.over_ranges(cfg.params, cfg.sweep_grid)
     columns = _scheme_columns(grid, cfg.pilot.ce_time)
     perfect = columns["snr_perfect"]
     # each scheme's SNR over the perfect-knowledge SNR at the same point
     norms = {f"norm_{name[4:]}": column / perfect
              for name, column in columns.items() if name.startswith("snr_")}
-    return _closed_form_table(cfg.sweep_grid, {**columns, **norms})
+    yield _closed_form_table(cfg.sweep_grid, {**columns, **norms})
+
+
+class _Sweep(NamedTuple):
+    run: Callable            # ExperimentConfig -> result tables, in row order
+    row: str                 # the ENVELOPE row every grid value lies in
+    default_grid: Callable   # SystemParams -> the grid when a config gives none
+
+
+_RANGES = [60.0, 80.0, 100.0, 120.0, 150.0, 180.0]
+
+# Every sweep kind: load_config reads its row and default grid, and
+# iter_experiment its runner.
+_SWEEPS = {
+    "SNR_SWEEP": _Sweep(_run_snr_sweep, "training_snr_db",
+                        lambda p: [-20.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0]),
+    "TAU_SWEEP": _Sweep(_run_tau_sweep, "ce_time", lambda p: [
+        f * p.coherence_time for f in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9)]),
+    "K_SWEEP": _Sweep(_run_k_sweep, "n_antennas",
+                      lambda p: [float(k) for k in range(1, p.n_antennas + 1)]),
+    "N_SWEEP": _Sweep(_run_n_sweep, "n_antennas",
+                      lambda p: [2.0, 5.0, 10.0, 20.0, 50.0, 100.0]),
+    "JOINT": _Sweep(_run_joint, "distance", lambda p: list(_RANGES)),
+    "COMPARE": _Sweep(_run_compare, "distance", lambda p: list(_RANGES)),
+}
 
 
 def _fmt(value: float) -> str:

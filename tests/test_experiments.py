@@ -6,7 +6,6 @@ import pytest
 
 from bsc_estim import cli, experiments, snr
 from bsc_estim.experiments import (
-    DEFAULTS,
     MAX_WORKERS,
     ConfigError,
     ResultTable,
@@ -75,6 +74,17 @@ class TestLoadConfig:
         cfg = load_config(_write(tmp_path, "tx_power_dbm = 20\n"))
         assert cfg.params.tx_power == pytest.approx(0.1, rel=1e-12)
 
+    def test_pilot_count_defaults_to_n_antennas(self, tmp_path):
+        assert load_config(_write(tmp_path, "n_antennas = 8\n")).pilot.pilot_count == 8
+        # zero is a value, not an absent key
+        with pytest.raises(ConfigError, match="pilot_count must be >= 1, got 0"):
+            load_config(_write(tmp_path, "n_antennas = 8\npilot_count = 0\n"))
+
+    @pytest.mark.parametrize("sweep", ["SNR_SWEEP", "K_SWEEP", "TAU_SWEEP", "N_SWEEP"])
+    def test_given_beta_is_kept_outside_range_sweeps(self, tmp_path, sweep):
+        cfg = load_config(_write(tmp_path, f"n_antennas = 4\nbeta = 1e-3\nsweep = {sweep}\n"))
+        assert cfg.params.beta == 1e-3
+
     def test_unknown_key_warns_not_errors(self, tmp_path):
         with pytest.warns(UserWarning, match="unknown key"):
             cfg = load_config(_write(tmp_path, "frobnicate = 7\n"))
@@ -115,6 +125,11 @@ class TestLoadConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.cfg")
+
+    def test_readme_names_every_key(self):
+        readme = (DATA.parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme.split("Config files are flat", 1)[1].split("Example:", 1)[0]
+        assert [k for k in experiments._KEYS if f"`{k}`" not in paragraph] == []
 
 
 class TestResultTable:
@@ -448,6 +463,25 @@ class TestCli:
         out = tmp_path / "rows.csv"
         rc = cli.main(["run", "--config", _write(tmp_path, "trials = 3\n"),
                        "--out", str(out), flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, message", [
+        # a range sweep derives beta at each range: the given one was dropped
+        ("beta = 1e-3\nsweep = JOINT\nsweep_grid = 60, 100\n",
+         "JOINT derives beta from each range in sweep_grid; remove the beta key"),
+        ("beta = 1e-3\nsweep = COMPARE\nsweep_grid = 60, 100\n",
+         "COMPARE derives beta from each range in sweep_grid; remove the beta key"),
+        # the dBm value won, so this ran at 0.1 W
+        ("tx_power = 5\ntx_power_dbm = 20\nsweep = COMPARE\nsweep_grid = 60\n",
+         "set tx_power or tx_power_dbm, not both"),
+    ], ids=["JOINT-beta", "COMPARE-beta", "tx_power-tx_power_dbm"])
+    def test_conflicting_keys_fail_at_load(self, tmp_path, capsys, monkeypatch, body,
+                                           message):
+        monkeypatch.setattr("bsc_estim.experiments.iter_experiment", pytest.fail)
+        out = tmp_path / "rows.csv"
+        rc = cli.main(["run", "--config", _write(tmp_path, body), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
