@@ -289,11 +289,11 @@ def _reduction_candidates(h_hat_matrix: np.ndarray,
                           k: int) -> list[tuple[float, np.ndarray]]:
     """Every positive eigenpair of the realified head block, principal first.
 
-    Each pair seeds one candidate vector through :func:`_eigen_head` and
-    :func:`_candidate`.  The principal pair is the usual choice, but on about
-    one noisy draw in seven a sibling pair sits in the better fitting basin
-    (16 of 108 seeded LS draws at N = 20, -5 to +5 dB), so callers keep the
-    best-objective candidate after refinement.
+    Each pair seeds one candidate vector through :func:`_candidate`.  The
+    principal pair is the usual choice, but on about one noisy draw in seven
+    a sibling pair sits in the better fitting basin (16 of 108 seeded LS
+    draws at N = 20, -5 to +5 dB), so callers keep the best-objective
+    candidate after refinement.
     Candidates are built only when a caller needs them.  Only the head's
     operator z_a of :func:`~bsc_estim.transforms.build_realified` is formed;
     the tail is filled in from the eigenvector later.
@@ -335,24 +335,19 @@ def _takagi_pair(h_hat_matrix: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     return sigma, np.concatenate([x.real, x.imag])
 
 
-def _eigen_head(lam: float, v: np.ndarray) -> np.ndarray:
-    """Complex head of one eigenpair of the realified head block: the unit
-    eigenvector scaled by sqrt(lambda / 2)."""
-    k = v.size // 2
-    vec = v / np.linalg.norm(v)
-    return np.sqrt(lam / 2.0) * (vec[:k] + 1j * vec[k:])
+def _candidate(h_hat_matrix: np.ndarray, lam: float, v: np.ndarray) -> np.ndarray:
+    """Candidate vector from one eigenpair (lambda, v) of the realified head block.
 
-
-def _candidate(h_hat_matrix: np.ndarray, lam: float, head: np.ndarray) -> np.ndarray:
-    """Candidate vector from its complex head, with ||head||^2 = lambda / 2.
-
-    The tail rows against the conjugated head fill in the rest.
+    The complex head is the unit eigenvector scaled by sqrt(lambda / 2), so
+    ||head||^2 = lambda / 2; the tail rows against the conjugated head fill
+    in the rest.  Serves the corners' Takagi pair and every mid-K pair.
     """
     n, k = h_hat_matrix.shape
+    vec = v / np.linalg.norm(v)
     h = np.zeros(n, dtype=complex)
-    h[:k] = head
+    h[:k] = np.sqrt(lam / 2.0) * (vec[:k] + 1j * vec[k:])
     if k < n:
-        h[k:] = h_hat_matrix[k:, :] @ head.conj() / (lam / 2.0)
+        h[k:] = h_hat_matrix[k:, :] @ h[:k].conj() / (lam / 2.0)
     return h
 
 
@@ -402,19 +397,15 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
     candidate wins.  The K = 1 and K = N paths are exactly stationary and
     globally optimal.
 
-    All-noise inputs with a vanishing top eigenvalue yield a flagged zero
-    estimate instead of a division by zero.
+    All-noise inputs with a vanishing top eigenvalue, the all-zero matrix
+    among them, yield a flagged zero estimate instead of a division by zero.
     """
     m = np.asarray(est.h_hat_matrix, dtype=complex)
     n, k = m.shape
     scale = float(np.linalg.norm(m))
     if not np.isfinite(scale):
         raise ValueError("matrix estimate contains non-finite entries")
-    if scale == 0.0:
-        return VectorEstimate(h_hat=np.zeros(n, dtype=complex), top_eigenvalue=0.0,
-                              objective=0.0, degenerate=True)
-
-    mn = m / scale
+    mn = m / scale if scale else m
     pairs = [_takagi_pair(mn, k)] if k in (1, n) else _reduction_candidates(mn, k)
     lam = pairs[0][0] if pairs else 0.0
     if lam <= _DEGENERATE_EIGENVALUE:
@@ -423,24 +414,17 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
                               objective=_rank_one_objective(m, np.zeros(n, complex), k),
                               degenerate=True)
 
-    h = _candidate(mn, lam, _eigen_head(*pairs[0]))
+    h = _candidate(mn, *pairs[0])
     if 1 < k < n and np.linalg.norm(_residual_gradient(
             np.outer(h, h[:k]) - mn, h, k)) > _REFINE_GRADIENT_TOL:
-        candidates = [h] + [_candidate(mn, lam_i, _eigen_head(lam_i, v_i))
-                            for lam_i, v_i in pairs[1:]]
-        if len(candidates) <= _REFINE_ALL_LIMIT:
-            chosen = range(len(candidates))
-        else:
+        candidates = [h] + [_candidate(mn, *pair) for pair in pairs[1:]]
+        if len(candidates) > _REFINE_ALL_LIMIT:
             scored = sorted((_rank_one_objective(mn, cand, k), i)
                             for i, cand in enumerate(candidates))
-            chosen = sorted({0} | {i for _, i in scored[:2]})
-        best = None
-        for i in chosen:
-            refined = _refine(mn, candidates[i], k)
-            obj = _rank_one_objective(mn, refined, k)
-            if best is None or obj < best[0]:
-                best = (obj, refined)
-        h = best[1]
+            candidates = [candidates[i] for i in sorted({0} | {i for _, i in scored[:2]})]
+        # the first of equal objectives wins
+        h = min((_refine(mn, cand, k) for cand in candidates),
+                key=lambda cand: _rank_one_objective(mn, cand, k))
 
     h = _canonical_sign(h) * np.sqrt(scale)
     return VectorEstimate(h_hat=h, top_eigenvalue=lam * scale,

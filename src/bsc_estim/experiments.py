@@ -203,12 +203,14 @@ _COLUMN_DTYPES = {"sweep_value": np.float64, "metric": object, "value": np.float
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a config file, filling defaults for absent keys."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would join the first key
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
     given: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -220,6 +222,9 @@ def load_config(path: str) -> ExperimentConfig:
         if key not in _KEYS:
             warnings.warn(f"{path}:{lineno}: ignoring unknown key {key!r}")
             continue
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             given[key] = _KEYS[key][0](value)
         except ValueError as exc:

@@ -134,6 +134,13 @@ def snr_threshold(n_antennas: int) -> float:
     return _snr_threshold(n_antennas)
 
 
+def _pilot_corner(n, gamma_e):
+    """The corner rule: 1 where N = 1 or gamma_e is at or below the threshold,
+    else N.  Scalars are taken as numpy values, for which ``~`` is a logical not."""
+    n, gamma_e = np.asarray(n), np.asarray(gamma_e)
+    return np.where((n > 1) & ~(gamma_e <= _snr_threshold(n)), n, 1)
+
+
 def optimal_pc(ce_energy: float, params: SystemParams) -> int:
     """Corner rule for the pilot count at a given training energy.
 
@@ -143,11 +150,8 @@ def optimal_pc(ce_energy: float, params: SystemParams) -> int:
     """
     if ce_energy <= 0:
         raise ValueError(f"ce_energy must be positive, got {ce_energy}")
-    n = params.n_antennas
-    if n == 1:
-        return 1
     gamma_e = params.beta ** 2 * params.tag_amp_ce ** 2 * ce_energy / params.noise_var
-    return 1 if gamma_e <= snr_threshold(n) else n
+    return int(_pilot_corner(params.n_antennas, gamma_e))
 
 
 def joint_optimize(params: SystemParams) -> OptimizationOutcome:
@@ -177,11 +181,10 @@ def joint_optimize_grid(grid: ParamGrid) -> tuple[np.ndarray, np.ndarray, np.nda
     p, n = grid.params, grid.n_antennas
     tau_c = optimal_ta_grid(1, grid)
     gamma_e1 = _ce_snr(p, grid.beta_sq, tau_c)
-    # the snr_threshold rule, where there is a pilot count to choose
-    pick_n = (n > 1) & ~(gamma_e1 <= _snr_threshold(n))
+    k = _pilot_corner(n, gamma_e1)
+    pick_n = k > 1
     if pick_n.any():
         tau_c[pick_n] = optimal_ta_grid(n[pick_n], grid.take(pick_n))
-    k = np.where(pick_n, n, 1)
     return tau_c, k, snr_approx_grid(tau_c, k, grid)
 
 

@@ -16,7 +16,6 @@ from bsc_estim import estimators
 from bsc_estim.estimators import (
     MatrixEstimate,
     _candidate,
-    _eigen_head,
     _reduction_candidates,
     _takagi_pair,
     lmmse_gain,
@@ -52,7 +51,7 @@ def _eigenpath_oracle(m):
     """Top eigenpair of the 2K x 2K realified head: (h, eigenvalue, objective)."""
     scale = np.linalg.norm(m)
     lam, v = _reduction_candidates(m / scale, m.shape[1])[0]
-    h = _candidate(m / scale, lam, _eigen_head(lam, v)) * np.sqrt(scale)
+    h = _candidate(m / scale, lam, v) * np.sqrt(scale)
     return h, lam * scale, rank_one_objective(m, h)
 
 
@@ -371,11 +370,14 @@ class TestVectorEstimate:
         assert np.all(v.h_hat == 0)
 
     def test_degenerate_zero_input(self):
-        for n, k in [(3, 2), (4, 4)]:
+        # K = 1, 1 < K < N and K = N all reach the one degenerate exit
+        for n, k in [(3, 1), (3, 2), (4, 4)]:
             est = MatrixEstimate(np.zeros((n, k), complex), LS, E0)
             v = vector_estimate(est)
             assert v.degenerate
             assert np.all(v.h_hat == 0)
+            assert v.top_eigenvalue == 0.0
+            assert v.objective == 0.0
 
     def test_canonical_sign(self):
         rng = np.random.default_rng(67)

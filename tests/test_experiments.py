@@ -1,4 +1,5 @@
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,15 @@ class TestLoadConfig:
         with pytest.warns(UserWarning, match="unknown key"):
             cfg = load_config(_write(tmp_path, "frobnicate = 7\n"))
         assert cfg.params.n_antennas == 20
+
+    def test_byte_order_mark_keeps_first_key(self, tmp_path):
+        # the mark used to join the first key, which then warned as unknown
+        path = tmp_path / "bom.cfg"
+        path.write_text("n_antennas = 4\nsweep = JOINT\n", encoding="utf-8-sig")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = load_config(str(path))
+        assert cfg.params.n_antennas == 4
 
     def test_zero_trials_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="trials"):
@@ -476,7 +486,10 @@ class TestCli:
         # the dBm value won, so this ran at 0.1 W
         ("tx_power = 5\ntx_power_dbm = 20\nsweep = COMPARE\nsweep_grid = 60\n",
          "set tx_power or tx_power_dbm, not both"),
-    ], ids=["JOINT-beta", "COMPARE-beta", "tx_power-tx_power_dbm"])
+        # the last value used to win, so this ran at N = 8
+        ("n_antennas = 4\n# resized\nn_antennas = 8\n",
+         "line 3: 'n_antennas' is already set on line 1"),
+    ], ids=["JOINT-beta", "COMPARE-beta", "tx_power-tx_power_dbm", "key-set-twice"])
     def test_conflicting_keys_fail_at_load(self, tmp_path, capsys, monkeypatch, body,
                                            message):
         monkeypatch.setattr("bsc_estim.experiments.iter_experiment", pytest.fail)

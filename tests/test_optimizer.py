@@ -132,6 +132,11 @@ class TestOptimalPc:
             p.beta ** 2 * p.tag_amp_ce ** 2)
         assert optimal_pc(e_c_at(0.0), p) == 1
         assert optimal_pc(e_c_at(5.0), p) == 20
+        # the rule's body: a training SNR at the threshold keeps one pilot,
+        # and one antenna has no count to choose
+        assert optimizer._pilot_corner(20, optimizer._snr_threshold(20)) == 1
+        assert optimizer._pilot_corner(1, 1e9) == 1
+        assert optimal_pc(e_c_at(30.0), make_params(n_antennas=1)) == 1
 
     def test_massive_array_prefers_single_pilot(self):
         e_c = 1e-4
