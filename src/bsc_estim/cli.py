@@ -99,6 +99,9 @@ def _cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     # checked before the sweep runs, not when its rows are written
+    if not cfg.output_path:
+        print("config error: output path is empty", file=sys.stderr)
+        return EXIT_VALIDATION
     directory = os.path.dirname(cfg.output_path) or "."
     if not os.path.isdir(directory):
         print(f"config error: output directory does not exist: {directory!r}",

@@ -15,7 +15,10 @@ whole 2K spectrum, because every positive eigenpair seeds a candidate, and
 refines the candidates.
 
 :func:`prior_covariance` and :func:`lmmse_gain` solve the same filter as a
-dense NK x NK system; only tests call them, as the reference.
+dense NK x NK system; only tests call them, as the reference.  They stay in
+this module rather than in the tests' oracles because ``perfbench/tracer.py``
+wraps both by name, and ``tests/test_names.py`` guards every name it wraps:
+moving them would stop ``perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations

@@ -29,11 +29,12 @@ JOINT and COMPARE derive beta at each range, so a config that gives them
 ``tx_power_dbm``.
 
 Results travel as columns: a :class:`ResultTable` holds one array per CSV
-field.  Monte Carlo sweeps call :func:`~bsc_estim.snr.mc_metrics` once per
-sweep point for every flavor, so LS and LMMSE rows come from the same
-trials, and yield one small table per point.  The closed-form sweeps
-(N_SWEEP, JOINT, COMPARE) evaluate their whole grid in one array pass
-through the ``*_grid`` functions, which run each formula's one body on
+field.  Monte Carlo sweeps call :func:`~bsc_estim.snr.mc_metrics` at each
+sweep point for every flavor at once, so LS and LMMSE rows come from the
+same trials, and one builder, :func:`_point_table`, turns its estimates and
+the point's closed forms into one small table per point.  The closed-form
+sweeps (N_SWEEP, JOINT, COMPARE) evaluate their whole grid in one array
+pass through the ``*_grid`` functions, which run each formula's one body on
 arrays and so equal the scalar functions bit for bit, and stack those
 arrays into one table without a Python object per row.
 """
@@ -58,6 +59,7 @@ from .channel import (
 from .estimators import LMMSE, LS
 from .optimizer import joint_optimize_grid, optimal_ta, optimal_ta_grid
 from .snr import (
+    McEstimate,
     mc_metrics,
     snr_approx,
     snr_approx_grid,
@@ -206,7 +208,7 @@ def load_config(path: str) -> ExperimentConfig:
         # utf-8-sig drops a leading byte-order mark, which would join the first key
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
     given: dict[str, object] = {}
@@ -343,6 +345,26 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     return ResultTable.concat(iter_experiment(cfg))
 
 
+def _point_table(value: float, est: dict[tuple[str, str], McEstimate],
+                 flavors: tuple[str, ...], names: tuple[tuple[str, str], ...],
+                 closed: dict[str, float]) -> ResultTable:
+    """One Monte Carlo sweep point's rows, at sweep value ``value``.
+
+    For each flavor, ``est[flavor, metric]`` as row ``<prefix>_ls`` or
+    ``<prefix>_lmmse``, for each ``(metric, prefix)`` of ``names`` in order;
+    then each closed-form ``name: value`` of ``closed``, with std_error 0
+    and trials 0.
+    """
+    rows = []
+    for flavor in flavors:
+        for metric, prefix in names:
+            e = est[flavor, metric]
+            rows.append((value, f"{prefix}_{flavor.lower()}", e.value, e.std_error,
+                         e.trials))
+    rows += [(value, name, v, 0.0, 0) for name, v in closed.items()]
+    return ResultTable.from_rows(rows)
+
+
 def _run_snr_sweep(cfg: ExperimentConfig):
     flavors = _flavors(cfg)
     for ge_db in cfg.sweep_grid:
@@ -351,50 +373,33 @@ def _run_snr_sweep(cfg: ExperimentConfig):
         # same seeded trials
         est = mc_metrics(params, cfg.pilot, flavors, cfg.trials, cfg.seed,
                          ("p_r", "mse_vec", "snr"), cfg.workers)
-        rows = []
-        for flavor in flavors:
-            tag = flavor.lower()
-            for metric, name in (("p_r", "p_r"), ("mse_vec", "mse"), ("snr", "snr_mc")):
-                e = est[flavor, metric]
-                rows.append((ge_db, f"{name}_{tag}", e.value, e.std_error, e.trials))
-        rows += [
-            (ge_db, "p_r_perfect", params.n_antennas * params.tx_power * params.beta,
-             0.0, 0),
-            (ge_db, "p_r_isotropic", params.tx_power * params.beta, 0.0, 0),
-            (ge_db, "snr_approx",
-             snr_approx(cfg.pilot.ce_time, cfg.pilot.pilot_count, params), 0.0, 0),
-            (ge_db, "snr_perfect", snr_perfect_csi(params), 0.0, 0),
-            (ge_db, "snr_isotropic", snr_isotropic(params), 0.0, 0),
-        ]
-        yield ResultTable.from_rows(rows)
+        closed = {
+            "p_r_perfect": params.n_antennas * params.tx_power * params.beta,
+            "p_r_isotropic": params.tx_power * params.beta,
+            "snr_approx": snr_approx(cfg.pilot.ce_time, cfg.pilot.pilot_count, params),
+            "snr_perfect": snr_perfect_csi(params),
+            "snr_isotropic": snr_isotropic(params),
+        }
+        yield _point_table(ge_db, est, flavors,
+                           (("p_r", "p_r"), ("mse_vec", "mse"), ("snr", "snr_mc")), closed)
 
 
 def _run_tau_sweep(cfg: ExperimentConfig):
-    flavors = _flavors(cfg)
+    flavors, k = _flavors(cfg), cfg.pilot.pilot_count
     for tau_c in cfg.sweep_grid:
-        if tau_c >= cfg.params.coherence_time:
+        if tau_c < cfg.params.coherence_time:
+            est = mc_metrics(cfg.params, PilotConfig(pilot_count=k, ce_time=tau_c),
+                             flavors, cfg.trials, cfg.seed, ("snr",), cfg.workers)
+            approx = snr_approx(tau_c, k, cfg.params)
+        else:
             # Training eats the whole block: nothing left to decode.
-            yield ResultTable.from_rows(
-                [(tau_c, f"snr_mc_{flavor.lower()}", 0.0, 0.0, 0) for flavor in flavors]
-                + [(tau_c, "snr_approx", 0.0, 0.0, 0)])
-            continue
-        pilot = PilotConfig(pilot_count=cfg.pilot.pilot_count, ce_time=tau_c)
-        est = mc_metrics(cfg.params, pilot, flavors, cfg.trials, cfg.seed,
-                         ("snr",), cfg.workers)
-        rows = []
-        for flavor in flavors:
-            e = est[flavor, "snr"]
-            rows.append((tau_c, f"snr_mc_{flavor.lower()}", e.value, e.std_error,
-                         e.trials))
-        rows.append((tau_c, "snr_approx",
-                     snr_approx(tau_c, cfg.pilot.pilot_count, cfg.params), 0.0, 0))
-        yield ResultTable.from_rows(rows)
-    tau_opt = optimal_ta(cfg.pilot.pilot_count, cfg.params)
-    yield ResultTable.from_rows([
-        (tau_opt, "tau_c_opt", tau_opt, 0.0, 0),
-        (tau_opt, "snr_approx_at_tau_opt",
-         snr_approx(tau_opt, cfg.pilot.pilot_count, cfg.params), 0.0, 0),
-    ])
+            est = {(flavor, "snr"): McEstimate(0.0, 0.0, 0) for flavor in flavors}
+            approx = 0.0
+        yield _point_table(tau_c, est, flavors, (("snr", "snr_mc"),),
+                           {"snr_approx": approx})
+    tau_opt = optimal_ta(k, cfg.params)
+    yield _point_table(tau_opt, {}, (), (), {
+        "tau_c_opt": tau_opt, "snr_approx_at_tau_opt": snr_approx(tau_opt, k, cfg.params)})
 
 
 def _run_k_sweep(cfg: ExperimentConfig):
@@ -404,23 +409,19 @@ def _run_k_sweep(cfg: ExperimentConfig):
         k = int(k_val)
         pilot = PilotConfig(pilot_count=k, ce_time=cfg.pilot.ce_time)
         # p_r and snr in two passes: perfbench/run.py expects two per K_SWEEP trial
-        power = mc_metrics(cfg.params, pilot, flavors, cfg.trials, cfg.seed,
-                           ("p_r",), cfg.workers)
-        snr = mc_metrics(cfg.params, pilot, flavors, cfg.trials, cfg.seed,
-                         ("snr",), cfg.workers)
-        rows = []
+        est = {**mc_metrics(cfg.params, pilot, flavors, cfg.trials, cfg.seed,
+                            ("p_r",), cfg.workers),
+               **mc_metrics(cfg.params, pilot, flavors, cfg.trials, cfg.seed,
+                            ("snr",), cfg.workers)}
         for flavor in flavors:
-            tag = flavor.lower()
-            p_r, s = power[flavor, "p_r"], snr[flavor, "snr"]
-            baseline.setdefault(tag, p_r.value)
-            rows += [
-                (k, f"p_r_{tag}", p_r.value, p_r.std_error, p_r.trials),
-                (k, f"p_r_norm_{tag}", p_r.value / baseline[tag],
-                 p_r.std_error / baseline[tag], p_r.trials),
-                (k, f"snr_mc_{tag}", s.value, s.std_error, s.trials),
-            ]
-        rows.append((k, "snr_approx", snr_approx(pilot.ce_time, k, cfg.params), 0.0, 0))
-        yield ResultTable.from_rows(rows)
+            # received power relative to the grid's first pilot count
+            p_r = est[flavor, "p_r"]
+            base = baseline.setdefault(flavor, p_r.value)
+            est[flavor, "p_r_norm"] = McEstimate(p_r.value / base, p_r.std_error / base,
+                                                 p_r.trials)
+        yield _point_table(k, est, flavors,
+                           (("p_r", "p_r"), ("p_r_norm", "p_r_norm"), ("snr", "snr_mc")),
+                           {"snr_approx": snr_approx(pilot.ce_time, k, cfg.params)})
 
 
 def _closed_form_table(sweep_values, columns: dict[str, np.ndarray]) -> ResultTable:

@@ -60,6 +60,11 @@ def build_realified(h_hat_matrix: np.ndarray, pilot_count: int) -> RealifiedSyst
     are conjugated before mapping so that, for a noiseless rank-one input
     built from h, ``[Re h_K; Im h_K]`` is an eigenvector of ``z_a`` with
     eigenvalue ``2 * ||h_K||**2`` and ``z_b`` reproduces the tail exactly.
+
+    Only tests call it: the pipeline forms ``z_a`` alone, in
+    :mod:`bsc_estim.estimators`.  It stays in the package because
+    ``perfbench/tracer.py`` wraps it by name, and ``tests/test_names.py``
+    guards every name the tracer wraps.
     """
     m = np.asarray(h_hat_matrix, dtype=complex)
     if m.ndim != 2:

@@ -60,6 +60,7 @@ def test_c01_noiseless_exact_recovery():
            f"(tol 1e-8), {elapsed:.1f}s (limit 30s)")
 
 
+@pytest.mark.slow
 def test_c02_brute_force_ls_oracle():
     t0 = time.time()
     rng = np.random.default_rng(202)
@@ -232,6 +233,7 @@ def test_c08_optimizer_vs_grid():
            f"oracle at N=8, single-pilot regime (tol 0.1 dB)")
 
 
+@pytest.mark.slow
 def test_c09_corner_point_property():
     # The measured received-power maximum over K = 1..20 must sit at the
     # expected corner.  Where each expectation comes from:

@@ -489,6 +489,7 @@ class TestCramerRao:
         print(f"N = 20, K = 1, {gamma_e_db:+.0f} dB: mean error / CRB = {ratio:.4f}")
         assert np.isfinite(ratio) and ratio > 0.0
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("gamma_e_db", [20.0, 30.0])
     def test_ls_mid_k_attains_crb_at_n20(self, gamma_e_db):
         ratio = self._mean_crb_ratio(20, 10, gamma_e_db)

@@ -1,4 +1,5 @@
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from bsc_estim import cli, experiments, snr
+from bsc_estim.estimators import LMMSE, LS
 from bsc_estim.experiments import (
     MAX_WORKERS,
     ConfigError,
@@ -140,6 +142,20 @@ class TestLoadConfig:
         readme = (DATA.parents[1] / "README.md").read_text(encoding="utf-8")
         paragraph = readme.split("Config files are flat", 1)[1].split("Example:", 1)[0]
         assert [k for k in experiments._KEYS if f"`{k}`" not in paragraph] == []
+
+    def test_readme_names_every_row_metric(self):
+        # each sweep kind's bullet names the rows its fixture writes, in CSV
+        # order, with <f> standing for either flavor
+        readme = (DATA.parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\nSweep kinds", 1)[1].split("\nCSV rows are", 1)[0]
+        bullets = {b.split("`", 2)[1]: b for b in section.split("\n- ")[1:]}
+        for csv in sorted(DATA.glob("*.csv")):
+            kind = load_config(str(csv.with_suffix(".cfg"))).sweep
+            metrics = [line.split(",")[1]
+                       for line in csv.read_text(encoding="utf-8").splitlines()[1:]]
+            names = list(dict.fromkeys(re.sub(r"_(ls|lmmse)$", "_<f>", m) for m in metrics))
+            at = [bullets[kind].find(f"`{name}`") for name in names]
+            assert -1 not in at and at == sorted(at), (csv.name, names, at)
 
 
 class TestResultTable:
@@ -359,6 +375,29 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert seen == [3, 3]
 
+    @pytest.mark.parametrize("body", [
+        "sweep = SNR_SWEEP\nsweep_grid = -5, 10\n",
+        # the last point is the coherence time: zero rows, nothing decoded
+        "sweep = TAU_SWEEP\nsweep_grid = 2e-4, 5e-4, 1e-3\n",
+        # K = 1, mid-K refinement and K = N
+        "sweep = K_SWEEP\n",
+    ], ids=["SNR_SWEEP", "TAU_SWEEP", "K_SWEEP"])
+    def test_single_flavor_writes_its_rows_of_both(self, tmp_path, body):
+        def lines(estimator):
+            cfg = _quick_cfg(tmp_path, f"n_antennas = 5\ntrials = 12\nseed = 4\n"
+                                       f"workers = 1\nestimator = {estimator}\n{body}")
+            out = tmp_path / f"{estimator}.csv"
+            write_csv(run_experiment(cfg), str(out))
+            return out.read_text(encoding="utf-8").splitlines()
+
+        both = lines("BOTH")
+        for flavor, other in ((LS, LMMSE), (LMMSE, LS)):
+            # that flavor's rows and the closed-form rows, in order, same bytes
+            kept = [line for line in both
+                    if not line.split(",")[1].endswith(f"_{other.lower()}")]
+            assert len(kept) < len(both)
+            assert lines(flavor) == kept
+
     def test_determinism_same_seed(self, tmp_path):
         body = """
             n_antennas = 3
@@ -500,10 +539,16 @@ class TestCli:
         assert not out.exists()
 
     def test_validation_error_exit_one(self, tmp_path):
-        cfg = _write(tmp_path, "trials = 0\n")
-        res = run_cli("run", "--config", cfg)
-        assert res.returncode == 1
-        assert "config error" in res.stderr
+        cfg = tmp_path / "exp.cfg"
+        # a bad value, and a file that is not UTF-8, which raised
+        # UnicodeDecodeError with a traceback
+        for body in (b"trials = 0\n", b"n_antennas = 4 # caf\xe9\n"):
+            cfg.write_bytes(body)
+            for command in ("run", "optimize"):
+                res = run_cli(command, "--config", str(cfg))
+                assert res.returncode == 1, (command, body)
+                assert res.stderr.startswith("config error: "), (command, res.stderr)
+                assert "Traceback" not in res.stderr
 
     def test_runtime_error_exit_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("bsc_estim.experiments.iter_experiment",
@@ -513,21 +558,28 @@ class TestCli:
         assert rc == 2
         assert "runtime error: injected failure after one table" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("via", ["--out", "output_path"])
+    @pytest.mark.parametrize("via,empty", [
+        ("--out", False), ("output_path", False),
+        # an empty path ran every point, then failed to write with exit 2
+        ("--out", True), ("output_path", True),
+    ], ids=["--out", "output_path", "--out-empty", "output_path-empty"])
     def test_output_path_that_is_a_directory_fails_at_load(self, tmp_path, capsys,
-                                                           monkeypatch, via):
+                                                           monkeypatch, via, empty):
         monkeypatch.setattr("bsc_estim.experiments.iter_experiment", pytest.fail)
-        out = tmp_path / "rows.csv"
-        out.mkdir()
+        if empty:
+            out, message = "", "output path is empty"
+        else:
+            out = tmp_path / "rows.csv"
+            out.mkdir()
+            message = f"output path is a directory: {str(out)!r}"
         if via == "--out":
             argv = ["--config", _write(tmp_path, "trials = 3\n"), "--out", str(out)]
         else:
             argv = ["--config", _write(tmp_path, f"trials = 3\noutput_path = {out}\n")]
         rc = cli.main(["run", *argv])
         assert rc == 1
-        assert capsys.readouterr().err == (
-            f"config error: output path is a directory: {str(out)!r}\n")
-        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["exp.cfg"]
 
     @pytest.mark.parametrize("via", ["--out", "output_path"])
     def test_missing_output_directory_fails_at_load(self, tmp_path, capsys,
