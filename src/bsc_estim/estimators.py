@@ -7,12 +7,13 @@ which for the package's orthogonal pilots is three O(NK) scalar shrinks of
 the LS estimate.  The LS estimate carries the per-pilot energy E0 it divided
 by, and the LMMSE shrinks read E0 from there.  Stage two recovers the
 channel vector itself from the matrix estimate by reducing the rank-one
-fitting problem to a real symmetric eigenvalue problem of size 2K, by one
-of two paths.  At the pilot-count corners K = 1 and K = N only the top
+fitting problem to a real symmetric eigenvalue problem of size 2K.  Both of
+its paths start from the head's symmetric part S = conj(M_K) + conj(M_K)^T,
+formed once.  At the pilot-count corners K = 1 and K = N only the top
 eigenpair is used, and it comes from a K x K Hermitian eigenproblem instead
-(the top Takagi pair of the head's symmetric part).  1 < K < N solves the
-whole 2K spectrum, because every positive eigenpair seeds a candidate, and
-refines the candidates.
+(the top Takagi pair of S).  1 < K < N solves the whole 2K spectrum of
+phi(S), because every positive eigenpair seeds a candidate, and refines the
+candidates of every estimate.
 
 :func:`prior_covariance` and :func:`lmmse_gain` solve the same filter as a
 dense NK x NK system; only tests call them, as the reference.  They stay in
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ReceivedSignal
-from .transforms import phi, sym
+from .transforms import phi
 
 LS = "LS"
 LMMSE = "LMMSE"
@@ -36,11 +37,6 @@ LMMSE = "LMMSE"
 # Top eigenvalue (of the unit-normalized system) below this is treated as an
 # all-noise degenerate input rather than divided through.
 _DEGENERATE_EIGENVALUE = 1e-30
-
-# Stationarity residual (unit-normalized) above which a 1 < K < N reduced
-# solution is refined; exact inputs sit many orders below.  K = 1 and K = N
-# take the top Takagi pair, which is stationary, and are never refined.
-_REFINE_GRADIENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -189,11 +185,12 @@ def _refine(h_hat_matrix: np.ndarray, h0: np.ndarray, k: int,
             max_iter: int = 60) -> np.ndarray:
     """Descend the fitting error from h0 towards the nearby stationary point.
 
-    Used only for noisy inputs with 1 < K < N, where the eigenvalue
+    Used for every 1 < K < N estimate, where on noisy input the eigenvalue
     reduction satisfies the head and tail conditions separately but not
-    their coupling.  Damped Newton from the reduction's output stays within
-    its basin, so the polished point keeps the reduction's global character;
-    the cost never increases.  The fit is quadratic in h, so the exact
+    their coupling; a start that already meets the stationarity test below
+    is returned unchanged.  Damped Newton from the reduction's output stays
+    within its basin, so the polished point keeps the reduction's global
+    character; the cost never increases.  The fit is quadratic in h, so the exact
     Hessian is the Gauss-Newton matrix plus the realified symmetrized
     residual, and convergence is quadratic once the damping has shrunk.
 
@@ -288,22 +285,21 @@ def _refine(h_hat_matrix: np.ndarray, h0: np.ndarray, k: int,
     return h
 
 
-def _reduction_candidates(h_hat_matrix: np.ndarray,
-                          k: int) -> list[tuple[float, np.ndarray]]:
-    """Every positive eigenpair of the realified head block, principal first.
+def _reduction_candidates(s: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Every positive eigenpair of the realified head phi(S), principal first.
 
-    Each pair seeds one candidate vector through :func:`_candidate`.  The
-    principal pair is the usual choice, but on about one noisy draw in seven
-    a sibling pair sits in the better fitting basin (16 of 108 seeded LS
-    draws at N = 20, -5 to +5 dB), so callers keep the best-objective
-    candidate after refinement.
-    Candidates are built only when a caller needs them.  Only the head's
-    operator z_a of :func:`~bsc_estim.transforms.build_realified` is formed;
-    the tail is filled in from the eigenvector later.
+    ``s`` is the head's symmetric part S = conj(M_K) + conj(M_K)^T, formed
+    by :func:`vector_estimate`.  Each pair seeds one candidate vector through
+    :func:`_candidate`.  The principal pair is the usual choice, but on about
+    one noisy draw in seven a sibling pair sits in the better fitting basin
+    (16 of 108 seeded LS draws at N = 20, -5 to +5 dB), so the caller keeps
+    the best-objective candidate after refinement.  Only the head's operator
+    z_a of :func:`~bsc_estim.transforms.build_realified` is formed; the tail
+    is filled in from the eigenvector later.
     """
-    w, v = np.linalg.eigh(phi(sym(h_hat_matrix[:k].conj())))
+    w, v = np.linalg.eigh(phi(s))
     out = []
-    for i in range(2 * k - 1, -1, -1):
+    for i in range(len(w) - 1, -1, -1):
         lam = float(w[i])
         if lam <= _DEGENERATE_EIGENVALUE:
             break
@@ -311,27 +307,26 @@ def _reduction_candidates(h_hat_matrix: np.ndarray,
     return out
 
 
-def _takagi_pair(h_hat_matrix: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+def _takagi_pair(s: np.ndarray) -> tuple[float, np.ndarray]:
     """Top eigenpair of the realified head block at K = 1 and K = N.
 
-    The head's symmetric part S = conj(M_K) + conj(M_K)^T has a Takagi
-    factorization S = U Sigma U^T (Horn & Johnson, Cor. 4.4.4), and the
-    positive eigenpairs of phi(S) are exactly (sigma_j, [Re x_j; Im x_j])
-    with S x_j = sigma_j conj(x_j).  A top left singular vector u of S comes
-    from the K x K Hermitian S S^H; then v = S^H u / sigma is its right
-    partner, and both x = conj(u) + v and x = i (conj(u) - v) satisfy
+    ``s`` is the head's symmetric part S = conj(M_K) + conj(M_K)^T, formed
+    by :func:`vector_estimate`.  S has a Takagi factorization
+    S = U Sigma U^T (Horn & Johnson, Cor. 4.4.4), and the positive
+    eigenpairs of phi(S) are exactly (sigma_j, [Re x_j; Im x_j]) with
+    S x_j = sigma_j conj(x_j).  A top left singular vector u of S comes from
+    the K x K Hermitian S S^H; then v = S^H u / sigma is its right partner,
+    and both x = conj(u) + v and x = i (conj(u) - v) satisfy
     S x = sigma conj(x).  The longer of the two is returned, which has
     ||x||^2 >= 2.  Since v is built from u, this holds even when the top
     singular value is tied.
     """
-    s = h_hat_matrix[:k].conj()
-    s = s + s.T
     _, u = np.linalg.eigh(s @ s.conj().T)
     u_top = u[:, -1]
     v = s.conj().T @ u_top
     sigma = float(np.linalg.norm(v))
     if sigma <= _DEGENERATE_EIGENVALUE:
-        return sigma, np.zeros(2 * k)
+        return sigma, np.zeros(2 * len(s))
     v /= sigma
     # ||conj(u) + v||^2 - ||conj(u) - v||^2 = 4 Re(u^T v)
     x = u_top.conj() + v if (u_top @ v).real >= 0 else 1j * (u_top.conj() - v)
@@ -384,21 +379,23 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
     tail rows against the conjugated head, with ||h_K||**2 evaluated as
     lambda / 2.  The '+' sign branch is taken and then canonicalized.
 
-    There are two paths.  At K = 1 and K = N that top pair comes from the
-    K x K Hermitian S S^H, with S the head's symmetric part (see
-    :func:`_takagi_pair`), rather than from the 2K x 2K real block, tied top
-    values included.  For 1 < K < N the full 2K x 2K spectrum is solved,
-    because every positive eigenpair seeds a candidate.
+    There are two paths, and both start from the head's symmetric part
+    S = conj(M_K) + conj(M_K)^T of the unit-normalized estimate, formed once
+    here.  At K = 1 and K = N that top pair comes from the K x K Hermitian
+    S S^H (see :func:`_takagi_pair`), rather than from the 2K x 2K real
+    block phi(S), tied top values included.  For 1 < K < N the full 2K x 2K spectrum of
+    phi(S) is solved, because every positive eigenpair seeds a candidate.
 
-    For 1 < K < N on noisy input the reduced solution is not exactly
-    stationary (the head eigenproblem and the tail fill-in decouple a
-    coupled system), so it is descended towards the nearby stationary point
-    of the fitting error by at most 60 damped Newton iterations, which do not
-    always get there (see :func:`_refine`).  Sibling eigenpairs are tried as
-    well, because on about one noisy draw in seven the principal pair sits in
-    a worse basin (see :func:`_reduction_candidates`); the lowest-objective
-    candidate wins.  The K = 1 and K = N paths are exactly stationary and
-    globally optimal.
+    For 1 < K < N the reduced solution is not exactly stationary on noisy
+    input (the head eigenproblem and the tail fill-in decouple a coupled
+    system), so every estimate is refined: each candidate is descended
+    towards the nearby stationary point of the fitting error by at most 60
+    damped Newton iterations, which do not always get there and which return
+    a start that already meets their stationarity test unchanged (see
+    :func:`_refine`).  Sibling eigenpairs are tried as well, because on about
+    one noisy draw in seven the principal pair sits in a worse basin (see
+    :func:`_reduction_candidates`); the lowest-objective candidate wins.  The
+    K = 1 and K = N paths are exactly stationary and globally optimal.
 
     All-noise inputs with a vanishing top eigenvalue, the all-zero matrix
     among them, yield a flagged zero estimate instead of a division by zero.
@@ -409,7 +406,9 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
     if not np.isfinite(scale):
         raise ValueError("matrix estimate contains non-finite entries")
     mn = m / scale if scale else m
-    pairs = [_takagi_pair(mn, k)] if k in (1, n) else _reduction_candidates(mn, k)
+    s = mn[:k].conj()
+    s = s + s.T
+    pairs = [_takagi_pair(s)] if k in (1, n) else _reduction_candidates(s)
     lam = pairs[0][0] if pairs else 0.0
     if lam <= _DEGENERATE_EIGENVALUE:
         return VectorEstimate(h_hat=np.zeros(n, dtype=complex),
@@ -417,10 +416,9 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
                               objective=_rank_one_objective(m, np.zeros(n, complex), k),
                               degenerate=True)
 
-    h = _candidate(mn, *pairs[0])
-    if 1 < k < n and np.linalg.norm(_residual_gradient(
-            np.outer(h, h[:k]) - mn, h, k)) > _REFINE_GRADIENT_TOL:
-        candidates = [h] + [_candidate(mn, *pair) for pair in pairs[1:]]
+    candidates = [_candidate(mn, *pair) for pair in pairs]
+    h = candidates[0]
+    if 1 < k < n:
         if len(candidates) > _REFINE_ALL_LIMIT:
             scored = sorted((_rank_one_objective(mn, cand, k), i)
                             for i, cand in enumerate(candidates))
@@ -432,4 +430,3 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
     h = _canonical_sign(h) * np.sqrt(scale)
     return VectorEstimate(h_hat=h, top_eigenvalue=lam * scale,
                           objective=_rank_one_objective(m, h, k))
-

@@ -4,20 +4,17 @@ The stationarity conditions of the rank-one fitting problem couple a complex
 matrix equation in h with its conjugate.  Splitting real and imaginary parts
 turns them into a real symmetric eigenvalue problem over the leading block
 (``z_a``) plus a linear fill-in map for the trailing entries (``z_b``).
+
+The pipeline uses :func:`phi` alone.
+:func:`bsc_estim.estimators.vector_estimate` forms the head's symmetric part
+S = conj(M_K) + conj(M_K)^T once and hands it to both recovery paths; only
+the 1 < K < N path maps it through :func:`phi`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-
-
-def sym(m: np.ndarray) -> np.ndarray:
-    """Symmetrize a square complex matrix: returns M^T + M (no conjugation)."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"sym expects a square matrix, got shape {m.shape}")
-    return m.T + m
 
 
 def phi(m: np.ndarray) -> np.ndarray:
@@ -56,15 +53,17 @@ class RealifiedSystem:
 def build_realified(h_hat_matrix: np.ndarray, pilot_count: int) -> RealifiedSystem:
     """Split an N x K matrix estimate into the (z_a, z_b) operator pair.
 
-    The head block feeds ``z_a = phi(sym(conj(head)))``; the trailing rows
-    are conjugated before mapping so that, for a noiseless rank-one input
-    built from h, ``[Re h_K; Im h_K]`` is an eigenvector of ``z_a`` with
-    eigenvalue ``2 * ||h_K||**2`` and ``z_b`` reproduces the tail exactly.
+    The head block feeds ``z_a = phi(S)`` with S = conj(head) + conj(head)^T;
+    the trailing rows are conjugated before mapping so that, for a noiseless
+    rank-one input built from h, ``[Re h_K; Im h_K]`` is an eigenvector of
+    ``z_a`` with eigenvalue ``2 * ||h_K||**2`` and ``z_b`` reproduces the
+    tail exactly.
 
-    Only tests call it: the pipeline forms ``z_a`` alone, in
-    :mod:`bsc_estim.estimators`.  It stays in the package because
-    ``perfbench/tracer.py`` wraps it by name, and ``tests/test_names.py``
-    guards every name the tracer wraps.
+    Only tests call it: the pipeline forms S once in
+    :func:`bsc_estim.estimators.vector_estimate`, and ``z_a`` only for
+    1 < K < N.  It stays in the package because ``perfbench/tracer.py``
+    wraps it by name, and ``tests/test_names.py`` guards every name the
+    tracer wraps.
     """
     m = np.asarray(h_hat_matrix, dtype=complex)
     if m.ndim != 2:
@@ -74,9 +73,8 @@ def build_realified(h_hat_matrix: np.ndarray, pilot_count: int) -> RealifiedSyst
         raise ValueError(f"pilot_count={pilot_count} does not match {k} columns")
     if k > n:
         raise ValueError(f"pilot_count={k} exceeds n_antennas={n}")
-    head = m[:k, :]
-    tail = m[k:, :]
-    z_a = phi(sym(head.conj()))
-    z_b = phi(tail.conj())
+    head = m[:k].conj()
+    z_a = phi(head + head.T)
+    z_b = phi(m[k:].conj())
     return RealifiedSystem(z_a=z_a, z_b=z_b, pilot_count=k, n_antennas=n)
 

@@ -47,10 +47,16 @@ def _noisy_estimate(rng, n, k, noise_scale, beta=1.0):
     return h, MatrixEstimate(h_hat_matrix=truth + noise, flavor=LS, pilot_energy=E0)
 
 
+def _head_symmetric_part(m):
+    """S = conj(M_K) + conj(M_K)^T of an N x K matrix M."""
+    head = m[:m.shape[1]].conj()
+    return head + head.T
+
+
 def _eigenpath_oracle(m):
     """Top eigenpair of the 2K x 2K realified head: (h, eigenvalue, objective)."""
     scale = np.linalg.norm(m)
-    lam, v = _reduction_candidates(m / scale, m.shape[1])[0]
+    lam, v = _reduction_candidates(_head_symmetric_part(m / scale))[0]
     h = _candidate(m / scale, lam, v) * np.sqrt(scale)
     return h, lam * scale, rank_one_objective(m, h)
 
@@ -312,6 +318,33 @@ class TestVectorEstimate:
             g = numerical_gradient(fun, x, step=1e-6)
             assert np.linalg.norm(g) <= 1e-6 * (1.0 + np.linalg.norm(m)), (n, k)
 
+    @pytest.mark.parametrize("n, k, seed", [(4, 2, 0), (6, 3, 2), (8, 5, 0)])
+    def test_mid_k_near_stationary_start_is_refined(self, n, k, seed):
+        # a rank-one head plus noise 1e-12 relative puts the principal
+        # candidate's unit-normalized gradient above _refine's stop rule
+        # (1e-13 at unit scale) but far below the noise of any real draw;
+        # the estimate must fit no worse than that candidate refined
+        rng = np.random.default_rng(seed)
+        h = random_channel_vector(rng, n)
+        truth = np.outer(h, h[:k])
+        noise = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        m = truth + 1e-12 * np.linalg.norm(truth) * noise / np.linalg.norm(noise)
+        scale = np.linalg.norm(m)
+        mn = m / scale
+        h0 = _candidate(mn, *_reduction_candidates(_head_symmetric_part(mn))[0])
+        grad = np.linalg.norm(estimators._residual_gradient(
+            np.outer(h0, h0[:k]) - mn, h0, k))
+        assert 1e-13 < grad < 1e-11
+        refined = estimators._refine(mn, h0, k) * np.sqrt(scale)
+        got = vector_estimate(MatrixEstimate(m, LS, E0))
+        assert got.objective <= rank_one_objective(m, refined) * (1 + 1e-9)
+        assert got.objective < rank_one_objective(m, h0 * np.sqrt(scale))
+
+        # the noiseless input still recovers h to rounding
+        exact = vector_estimate(MatrixEstimate(truth, LS, E0))
+        err = min(np.linalg.norm(exact.h_hat - h), np.linalg.norm(exact.h_hat + h))
+        assert err <= 1e-14 * np.linalg.norm(h)
+
     @pytest.mark.parametrize("corner", ["1", "N"])
     def test_corners_match_realified_eigenpath(self, corner):
         # K = 1 and K = N go through the K x K Takagi pair; the 2K x 2K
@@ -352,9 +385,9 @@ class TestVectorEstimate:
         sigma[:len(top)] = top
         m = ((q * sigma) @ q.T).conj() / 2.0
         mn = m / np.linalg.norm(m)
-        lam, v = _takagi_pair(mn, n)
+        s = _head_symmetric_part(mn)
+        lam, v = _takagi_pair(s)
         x = (v[:n] + 1j * v[n:]) / np.linalg.norm(v)
-        s = mn.conj() + mn.conj().T
         assert np.linalg.norm(s @ x - lam * x.conj()) <= 1e-12 * lam
         got = vector_estimate(MatrixEstimate(m, LS, E0))
         _, lam, obj = _eigenpath_oracle(m)

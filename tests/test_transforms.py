@@ -1,34 +1,12 @@
 import numpy as np
 import pytest
 
-from bsc_estim.transforms import build_realified, phi, sym
+from bsc_estim.transforms import build_realified, phi
 from conftest import random_channel_vector
 
 
 def _random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestSym:
-    def test_identity(self):
-        assert np.array_equal(sym(np.eye(3)), 2 * np.eye(3))
-
-    def test_antisymmetric_cancels(self):
-        rng = np.random.default_rng(0)
-        a = _random_complex(rng, 4, 4)
-        m = a - a.T
-        assert np.allclose(sym(m), 0.0, atol=1e-15)
-
-    def test_result_is_symmetric(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            m = _random_complex(rng, 5, 5)
-            s = sym(m)
-            assert np.array_equal(s, s.T)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            sym(np.ones((2, 3)))
 
 
 class TestPhi:
@@ -50,14 +28,14 @@ class TestPhi:
     def test_complex_symmetric_gives_symmetric(self):
         rng = np.random.default_rng(3)
         m = _random_complex(rng, 4, 4)
-        z = phi(sym(m))
+        z = phi(m + m.T)
         assert np.array_equal(z, z.T)
 
     def test_trace_zero_and_pairing(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
-            m = sym(_random_complex(rng, 4, 4))
-            z = phi(m)
+            a = _random_complex(rng, 4, 4)
+            z = phi(a + a.T)
             assert abs(np.trace(z)) <= 1e-10 * max(1.0, np.linalg.norm(z))
             w = np.sort(np.linalg.eigvalsh(z))
             assert w == pytest.approx(-w[::-1], rel=1e-9, abs=1e-9 * np.linalg.norm(z))
@@ -74,7 +52,21 @@ class TestBuildRealified:
         rs = build_realified(m, 4)
         assert rs.z_a.shape == (8, 8)
         assert rs.z_b.shape == (0, 8)
-        assert np.array_equal(rs.z_a, phi(sym(m.conj())))
+        head = m.conj()
+        assert np.array_equal(rs.z_a, phi(head + head.T))
+
+    def test_identity_head(self):
+        # S = conj(I) + conj(I)^T = 2I, so z_a = phi(2I)
+        m = np.vstack([np.eye(3), np.ones((2, 3))]).astype(complex)
+        rs = build_realified(m, 3)
+        assert np.array_equal(rs.z_a, phi(2 * np.eye(3)))
+
+    def test_antisymmetric_head_cancels(self):
+        # the head's symmetric part drops its antisymmetric component exactly
+        rng = np.random.default_rng(0)
+        a = _random_complex(rng, 4, 4)
+        rs = build_realified(np.vstack([a - a.T, _random_complex(rng, 2, 4)]), 4)
+        assert np.array_equal(rs.z_a, np.zeros((8, 8)))
 
     def test_single_pilot_block(self):
         rng = np.random.default_rng(6)
