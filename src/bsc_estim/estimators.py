@@ -24,6 +24,7 @@ moving them would stop ``perfbench/run.py --trace 1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,23 +168,23 @@ def lmmse_matrix(ls: MatrixEstimate, beta: float, noise_var: float) -> MatrixEst
     return MatrixEstimate(h_hat_matrix=out, flavor=LMMSE, pilot_energy=ls.pilot_energy)
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex array bit for bit: the same two dots."""
+    flat = x.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _rank_one_objective(h_hat_matrix: np.ndarray, h: np.ndarray, k: int) -> float:
-    return float(np.linalg.norm(h_hat_matrix - np.outer(h, h[:k])) ** 2)
-
-
-def _residual_gradient(r: np.ndarray, h: np.ndarray, k: int) -> np.ndarray:
-    """Conjugate (Wirtinger) gradient of the rank-one fitting error.
-
-    ``r`` is the residual ``outer(h, h[:k]) - h_hat_matrix`` at ``h``.
-    """
-    g = r @ h[:k].conj()
-    g[:k] += r.T @ h.conj()
-    return g
+    return _norm(h_hat_matrix - np.outer(h, h[:k])) ** 2
 
 
 def _refine(h_hat_matrix: np.ndarray, h0: np.ndarray, k: int,
-            max_iter: int = 60) -> np.ndarray:
+            max_iter: int = 60) -> tuple[np.ndarray, float]:
     """Descend the fitting error from h0 towards the nearby stationary point.
+
+    Returns the refined vector and its fitting error, which is bit for bit
+    the :func:`_rank_one_objective` of that vector.
 
     Used for every 1 < K < N estimate, where on noisy input the eigenvalue
     reduction satisfies the head and tail conditions separately but not
@@ -203,60 +204,75 @@ def _refine(h_hat_matrix: np.ndarray, h0: np.ndarray, k: int,
 
     The real 2N x 2N Hessian is [[B_re, -B_im], [B_im, B_re]] plus
     [[A_re, -A_im], [-A_im, -A_re]], with B the complex Gauss-Newton block
-    and A = conj(R + R^T) for the residual R embedded in N x N.  Its four
-    quadrants are written into one preallocated buffer, entry by entry with
-    the same floating-point operations as that block sum.
+    and A = conj(C) for the symmetrized residual C = R + R^T, R embedded in
+    N x N.  Each step forms B and C in preallocated buffers and writes the
+    quadrant sums B_re + C_re, C_im - B_im, B_im + C_im and B_re - C_re.
+    The complex products keep the loop shapes of ``np.outer``, the norms are
+    the dots ``np.linalg.norm`` takes, and terms that are exactly zero are
+    left out, which can only flip the sign of a zero entry; so the step is
+    bit for bit the ``np.block`` form that ``tests/_oracles.py`` keeps as
+    ``refine_reference``.  A trial step goes into the second of two (h, R)
+    buffers, which swap when the step is accepted.
     """
     n = h_hat_matrix.shape[0]
-    h = h0.copy()
-    r = np.outer(h, h[:k]) - h_hat_matrix
-    cost = float(np.linalg.norm(r) ** 2)
-    scale = max(cost, float(np.linalg.norm(h_hat_matrix) ** 2), 1e-300)
+    h, h_new = h0.copy(), np.empty(n, dtype=complex)
+    r, r_new = np.empty((n, k), dtype=complex), np.empty((n, k), dtype=complex)
+    np.multiply(h[:, None], h[None, :k], out=r)  # outer(h, h[:k]) - h_hat_matrix
+    r -= h_hat_matrix
+    cost = _norm(r) ** 2
+    scale = max(cost, _norm(h_hat_matrix) ** 2, 1e-300)
+    tol = 1e-13 * scale ** 0.75
     lam = 1e-4
-    eye_head = np.zeros(n)
-    eye_head[:k] = 1.0
-    m_k = np.zeros(n, dtype=complex)           # h with its tail zeroed
+    # buffers, and the loop's views of them, made once
+    h_conj = np.empty(n, dtype=complex)
+    m_conj = np.zeros(n, dtype=complex)        # conj(h) with its tail zeroed
+    h_conj_k, m_conj_k = h_conj[:k], m_conj[:k]
+    g, g_head = np.empty(n, dtype=complex), np.empty(k, dtype=complex)
+    rhs = np.empty(2 * n)                      # minus the realified gradient
     b = np.empty((n, n), dtype=complex)
     b_diag = b.reshape(-1)[::n + 1].real       # writable view of Re diag(B)
-    b_swap = np.empty((n, n), dtype=complex)
-    r_re = np.zeros((n, n))                    # residual embedded in N x N
-    r_im = np.zeros((n, n))
-    a_re = np.empty((n, n))                    # Re A
-    a_im = np.empty((n, n))                    # -Im A
+    b_k, b_diag_k, b_diag_t = b[:k], b_diag[:k], b_diag[k:]
+    b_swap = np.empty((k, n), dtype=complex)
+    r_emb = np.zeros((n, n), dtype=complex)    # residual embedded in N x N
+    r_emb_k, r_emb_t = r_emb[:, :k], r_emb.T
+    c = np.empty((n, n), dtype=complex)
     hess = np.empty((2 * n, 2 * n))
+    hess_11, hess_12 = hess[:n, :n], hess[:n, n:]
+    hess_21, hess_22 = hess[n:, :n], hess[n:, n:]
     hess_diag = hess.reshape(-1)[::2 * n + 1]  # writable view of diag(hess)
-    gauss_diag = np.empty(2 * n)
-    grad = np.empty(2 * n)
+    undamped, gauss_diag = np.empty(2 * n), np.empty(2 * n)
     for _ in range(max_iter):
-        g_c = _residual_gradient(r, h, k)
-        grad[:n] = g_c.real
-        grad[n:] = g_c.imag
-        if np.linalg.norm(grad) <= 1e-13 * scale ** 0.75:
+        # conjugate (Wirtinger) gradient R conj(h_K), plus R^T conj(h) on the head
+        np.conjugate(h, out=h_conj)
+        np.matmul(r, h_conj_k, out=g)
+        g[:k] += np.matmul(r.T, h_conj, out=g_head)
+        np.negative(g.real, out=rhs[:n])
+        np.negative(g.imag, out=rhs[n:])
+        if math.sqrt(rhs.dot(rhs)) <= tol:
             break
         # Gauss-Newton block in closed form: ||h_K||^2 I + ||h||^2 on the
-        # head diagonal + rank-two coupling of h with its masked head.
-        m_k[:k] = h[:k]
-        np.outer(h, m_k.conj(), out=b)
-        b_diag += np.linalg.norm(h[:k]) ** 2 + np.linalg.norm(h) ** 2 * eye_head
-        b += np.outer(m_k, h.conj(), out=b_swap)
+        # head diagonal + rank-two coupling of h with its masked head; the
+        # masked outer product is zero below the head rows
+        m_conj_k[:] = h_conj_k
+        np.multiply(h[:, None], m_conj, out=b)
+        head_sq = _norm(h[:k]) ** 2
+        b_diag_k += head_sq + _norm(h) ** 2
+        b_diag_t += head_sq
+        b_k += np.multiply(h[:k, None], h_conj, out=b_swap)
         # exact Hessian adds the realified symmetrized residual
-        r_re[:, :k] = r.real
-        r_im[:, :k] = r.imag
-        np.add(r_re, r_re.T, out=a_re)
-        np.add(r_im, r_im.T, out=a_im)
-        np.add(b.real, a_re, out=hess[:n, :n])
-        np.subtract(a_im, b.imag, out=hess[:n, n:])
-        np.add(b.imag, a_im, out=hess[n:, :n])
-        np.subtract(b.real, a_re, out=hess[n:, n:])
+        r_emb_k[:] = r
+        np.add(r_emb, r_emb_t, out=c)
+        np.add(b.real, c.real, out=hess_11)
+        np.subtract(c.imag, b.imag, out=hess_12)
+        np.add(b.imag, c.imag, out=hess_21)
+        np.subtract(b.real, c.real, out=hess_22)
         # trace of the Gauss-Newton quadrants, summed as np.trace would
-        gauss_diag[:n] = b_diag
-        gauss_diag[n:] = gauss_diag[:n]
+        gauss_diag.reshape(2, n)[:] = b_diag
         ridge = float(gauss_diag.sum()) / (2.0 * n) + 1e-300
         # hess + lam * ridge * eye adds +0.0 off the diagonal, which turns
         # -0.0 into +0.0; do that once, then each damping rewrites the diagonal
         np.add(hess, 0.0, out=hess)
-        undamped = hess_diag.copy()
-        rhs = -grad
+        undamped[:] = hess_diag
         stepped = False
         for _ in range(40):
             np.add(undamped, lam * ridge, out=hess_diag)
@@ -266,23 +282,23 @@ def _refine(h_hat_matrix: np.ndarray, h0: np.ndarray, k: int,
                 lam *= 10.0
                 continue
             # h + dx[:n] + 1j * dx[n:], one part at a time
-            h_new = np.empty(n, dtype=complex)
             np.add(h.real, dx[:n], out=h_new.real)
             np.add(h.imag, dx[n:], out=h_new.imag)
-            r_new = np.outer(h_new, h_new[:k]) - h_hat_matrix
-            cost_new = float(np.linalg.norm(r_new) ** 2)
+            np.multiply(h_new[:, None], h_new[None, :k], out=r_new)
+            r_new -= h_hat_matrix
+            cost_new = _norm(r_new) ** 2
             if cost_new <= cost:
                 improved = cost - cost_new
-                h, r, cost = h_new, r_new, cost_new
+                h, h_new, r, r_new, cost = h_new, h, r_new, r, cost_new
                 lam = max(lam / 3.0, 1e-12)
-                stepped = improved > 1e-16 * scale or np.linalg.norm(dx) > 1e-12
+                stepped = improved > 1e-16 * scale or math.sqrt(dx.dot(dx)) > 1e-12
                 break
             lam *= 4.0
         else:
             break
         if not stepped:
             break
-    return h
+    return h, cost
 
 
 def _reduction_candidates(s: np.ndarray) -> list[tuple[float, np.ndarray]]:
@@ -399,8 +415,11 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
 
     All-noise inputs with a vanishing top eigenvalue, the all-zero matrix
     among them, yield a flagged zero estimate instead of a division by zero.
+    An estimate that is not N x K with 1 <= K <= N raises ``ValueError``.
     """
     m = np.asarray(est.h_hat_matrix, dtype=complex)
+    if m.ndim != 2 or not 1 <= m.shape[1] <= m.shape[0]:
+        raise ValueError(f"matrix estimate must be N x K with 1 <= K <= N, got {m.shape}")
     n, k = m.shape
     scale = float(np.linalg.norm(m))
     if not np.isfinite(scale):
@@ -424,8 +443,7 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
                             for i, cand in enumerate(candidates))
             candidates = [candidates[i] for i in sorted({0} | {i for _, i in scored[:2]})]
         # the first of equal objectives wins
-        h = min((_refine(mn, cand, k) for cand in candidates),
-                key=lambda cand: _rank_one_objective(mn, cand, k))
+        h, _ = min((_refine(mn, cand, k) for cand in candidates), key=lambda fit: fit[1])
 
     h = _canonical_sign(h) * np.sqrt(scale)
     return VectorEstimate(h_hat=h, top_eigenvalue=lam * scale,
