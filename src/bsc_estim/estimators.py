@@ -16,10 +16,11 @@ phi(S), because every positive eigenpair seeds a candidate, and refines the
 candidates of every estimate.
 
 :func:`prior_covariance` and :func:`lmmse_gain` solve the same filter as a
-dense NK x NK system; only tests call them, as the reference.  They stay in
-this module rather than in the tests' oracles because ``perfbench/tracer.py``
-wraps both by name, and ``tests/test_names.py`` guards every name it wraps:
-moving them would stop ``perfbench/run.py --trace 1``.
+dense NK x NK system; only tests call them, as the reference, and they
+take and return plain arrays.  They stay in this module rather than in the
+tests' oracles because ``perfbench/tracer.py`` wraps both by name, and
+``tests/test_names.py`` guards every name it wraps: moving them would stop
+``perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
@@ -51,27 +52,18 @@ class MatrixEstimate:
 
 @dataclass(frozen=True)
 class VectorEstimate:
-    """Recovered channel vector with the eigenvalue and objective behind it.
+    """Recovered channel vector with the eigenvalue behind it.
 
-    ``objective`` is the rank-one fitting error of the matrix estimate at
-    ``h_hat``.  ``degenerate`` marks all-noise inputs where no direction
-    could be recovered; callers treat those as zero beamforming gain.
+    ``top_eigenvalue`` is the top eigenvalue of the realified head block of
+    the matrix estimate, at its own scale.  ``degenerate`` marks all-noise
+    inputs where no direction could be recovered; callers treat those as
+    zero beamforming gain.  The rank-one fitting error at ``h_hat`` is not
+    carried: no caller in the pipeline reads it.
     """
 
     h_hat: np.ndarray
     top_eigenvalue: float
-    objective: float
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class PriorCovariance:
-    """Second-order prior of the vectorized cascaded channel."""
-
-    c_hv: np.ndarray             # (N*K, N*K), Hermitian PSD
-    beta: float
-    n_antennas: int
-    pilot_count: int
 
 
 def ls_matrix(rx: ReceivedSignal) -> MatrixEstimate:
@@ -94,12 +86,13 @@ def ls_matrix(rx: ReceivedSignal) -> MatrixEstimate:
     return MatrixEstimate(h_hat_matrix=h_hat, flavor=LS, pilot_energy=e0)
 
 
-def prior_covariance(beta: float, n_antennas: int, pilot_count: int) -> PriorCovariance:
-    """Covariance of vec(H_K) for Rayleigh h via the Gaussian fourth moment.
+def prior_covariance(beta: float, n_antennas: int, pilot_count: int) -> np.ndarray:
+    """NK x NK covariance of vec(H_K) for Rayleigh h via the Gaussian fourth moment.
 
     With h_v element (i, j) equal to h_i * h_j, the entry indexed by row
     pair (i, j) and column pair (k, l) is beta**2 * (d_ik d_jl + d_il d_jk),
     i.e. beta**2 times identity plus the head-block transposition operator.
+    Hermitian PSD.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -112,27 +105,30 @@ def prior_covariance(beta: float, n_antennas: int, pilot_count: int) -> PriorCov
     for j in range(k):
         for i in range(k):
             c[j * n + i, i * n + j] += 1.0
-    return PriorCovariance(c_hv=beta ** 2 * c, beta=beta,
-                           n_antennas=n, pilot_count=k)
+    return beta ** 2 * c
 
 
-def lmmse_gain(pilot_scaled: np.ndarray, prior: PriorCovariance,
+def lmmse_gain(pilot_scaled: np.ndarray, c_hv: np.ndarray,
                noise_var: float) -> np.ndarray:
     """Linear MMSE gain W with vec(H_hat) = W @ vec(Y).
 
-    Solves the NK x NK regularized system C S^H (S C S^H + N0 I)^{-1} through
-    a Hermitian eigendecomposition.  The Gram matrix is floored at N0, its
+    ``c_hv`` is the NK x NK prior of :func:`prior_covariance`; K is read
+    from the K x K pilot matrix and N from the prior's size.  Solves the
+    NK x NK regularized system C S^H (S C S^H + N0 I)^{-1} through a
+    Hermitian eigendecomposition.  The Gram matrix is floored at N0, its
     exact lower bound, so the prior's null directions stay harmless even when
     N0 is many orders below the signal scale.
     """
     if noise_var <= 0:
         raise ValueError(f"noise_var must be positive, got {noise_var}")
-    n, k = prior.n_antennas, prior.pilot_count
     s0 = np.asarray(pilot_scaled, dtype=complex)
-    if s0.shape != (k, k):
-        raise ValueError(f"pilot matrix shape {s0.shape} does not match K={k}")
+    k, dim = len(s0), len(c_hv)
+    if not k or s0.shape != (k, k) or c_hv.shape != (dim, dim) or dim % k:
+        raise ValueError(
+            f"pilot matrix shape {s0.shape} does not match prior shape {c_hv.shape}")
+    n = dim // k
     s_v = np.kron(s0.T, np.eye(n))
-    c_sh = prior.c_hv @ s_v.conj().T
+    c_sh = c_hv @ s_v.conj().T
     gram = s_v @ c_sh + noise_var * np.eye(n * k)
     w_eig, u = np.linalg.eigh(gram)
     # The Gram is >= noise_var * I exactly; eigenvalues reported below that
@@ -431,9 +427,7 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
     lam = pairs[0][0] if pairs else 0.0
     if lam <= _DEGENERATE_EIGENVALUE:
         return VectorEstimate(h_hat=np.zeros(n, dtype=complex),
-                              top_eigenvalue=lam * scale,
-                              objective=_rank_one_objective(m, np.zeros(n, complex), k),
-                              degenerate=True)
+                              top_eigenvalue=lam * scale, degenerate=True)
 
     candidates = [_candidate(mn, *pair) for pair in pairs]
     h = candidates[0]
@@ -445,6 +439,5 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
         # the first of equal objectives wins
         h, _ = min((_refine(mn, cand, k) for cand in candidates), key=lambda fit: fit[1])
 
-    h = _canonical_sign(h) * np.sqrt(scale)
-    return VectorEstimate(h_hat=h, top_eigenvalue=lam * scale,
-                          objective=_rank_one_objective(m, h, k))
+    return VectorEstimate(h_hat=_canonical_sign(h) * np.sqrt(scale),
+                          top_eigenvalue=lam * scale)

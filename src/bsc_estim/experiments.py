@@ -340,11 +340,6 @@ def iter_experiment(cfg: ExperimentConfig):
     yield from _SWEEPS[cfg.sweep].run(cfg)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ResultTable:
-    """All rows for the configured sweep."""
-    return ResultTable.concat(iter_experiment(cfg))
-
-
 def _point_table(value: float, est: dict[tuple[str, str], McEstimate],
                  flavors: tuple[str, ...], names: tuple[tuple[str, str], ...],
                  closed: dict[str, float]) -> ResultTable:

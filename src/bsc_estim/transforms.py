@@ -8,12 +8,12 @@ turns them into a real symmetric eigenvalue problem over the leading block
 The pipeline uses :func:`phi` alone.
 :func:`bsc_estim.estimators.vector_estimate` forms the head's symmetric part
 S = conj(M_K) + conj(M_K)^T once and hands it to both recovery paths; only
-the 1 < K < N path maps it through :func:`phi`.
+the 1 < K < N path maps it through :func:`phi`.  :func:`build_realified`,
+which only tests call, returns the operator pair as two plain arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
 
@@ -35,29 +35,17 @@ def phi(m: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RealifiedSystem:
-    """Real-domain operators extracted from a matrix-level channel estimate.
+def build_realified(h_hat_matrix: np.ndarray,
+                    pilot_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split an N x K matrix estimate into the (z_a, z_b) operator pair.
 
     ``z_a`` is the 2K x 2K real symmetric matrix whose top eigenpair carries
     the leading K channel entries; ``z_b`` is the 2(N-K) x 2K map recovering
-    the remaining entries.  For K = N, ``z_b`` is empty.
-    """
-
-    z_a: np.ndarray
-    z_b: np.ndarray
-    pilot_count: int
-    n_antennas: int
-
-
-def build_realified(h_hat_matrix: np.ndarray, pilot_count: int) -> RealifiedSystem:
-    """Split an N x K matrix estimate into the (z_a, z_b) operator pair.
-
-    The head block feeds ``z_a = phi(S)`` with S = conj(head) + conj(head)^T;
-    the trailing rows are conjugated before mapping so that, for a noiseless
-    rank-one input built from h, ``[Re h_K; Im h_K]`` is an eigenvector of
-    ``z_a`` with eigenvalue ``2 * ||h_K||**2`` and ``z_b`` reproduces the
-    tail exactly.
+    the remaining entries, empty for K = N.  The head block feeds
+    ``z_a = phi(S)`` with S = conj(head) + conj(head)^T; the trailing rows
+    are conjugated before mapping so that, for a noiseless rank-one input
+    built from h, ``[Re h_K; Im h_K]`` is an eigenvector of ``z_a`` with
+    eigenvalue ``2 * ||h_K||**2`` and ``z_b`` reproduces the tail exactly.
 
     Only tests call it: the pipeline forms S once in
     :func:`bsc_estim.estimators.vector_estimate`, and ``z_a`` only for
@@ -74,7 +62,5 @@ def build_realified(h_hat_matrix: np.ndarray, pilot_count: int) -> RealifiedSyst
     if k > n:
         raise ValueError(f"pilot_count={k} exceeds n_antennas={n}")
     head = m[:k].conj()
-    z_a = phi(head + head.T)
-    z_b = phi(m[k:].conj())
-    return RealifiedSystem(z_a=z_a, z_b=z_b, pilot_count=k, n_antennas=n)
+    return phi(head + head.T), phi(m[k:].conj())
 

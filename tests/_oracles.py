@@ -4,8 +4,9 @@ Everything here is deliberately written from first principles, not by
 calling the code under test: multi-start descent for the rank-one fitting
 problem, a spectral closed form for the linear MMSE filter under orthogonal
 pilots, the beams of the two pilot-count corners, the one-draw decoding SNR,
-DFT pilots, plain-grid maximizers and the Cramer-Rao bound of the vector
-estimate.
+DFT pilots, plain-grid maximizers, the Cramer-Rao bound of the vector
+estimate and a certified lower bound on the rank-one fit from its
+one-dimensional dual.
 The exceptions are frozen copies kept for bitwise regression checks:
 :func:`refine_reference`, the estimator's Newton refinement,
 :func:`optimal_ta_reference` / :func:`joint_design_reference`, the scalar
@@ -16,6 +17,7 @@ training-time bisection and pilot-count rule, and
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -55,6 +57,73 @@ def brute_force_min(h_hat_matrix: np.ndarray, n_starts: int = 50,
                             xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=300)
         best = min(best, 2.0 * res.cost)
     return best
+
+
+def _real_block(t: np.ndarray) -> np.ndarray:
+    """[[Re T, -Im T], [-Im T, -Re T]]: phi(T) [Re u; Im u] = [Re(T u); -Im(T u)]."""
+    return np.block([[t.real, -t.imag], [-t.imag, -t.real]])
+
+
+def rank_one_dual_bound(h_hat_matrix: np.ndarray, gap: float = 1e-12,
+                        max_evals: int = 2000) -> float:
+    """Certified lower bound on min over h of ||M - h h_K^T||^2.
+
+    Scale M to unit norm, write the head as a = r u with ||u|| = 1 and
+    x = [Re u; Im u].  The best tail for a given head is M_tail conj(u) / r,
+    which leaves ||M_tail||^2 - ||conj(M_tail) u||^2 = ||M_tail||^2 - x^T B x
+    with C = phi(conj(M_tail)) and B = C^T C.  The head leaves
+    ||M_K||^2 - r^2 x^T A x + r^4 with A = phi(S), S = conj(M_K) + conj(M_K)^T;
+    the best r^2 is max(x^T A x, 0) / 2.  So the minimum is 1 - max over unit
+    x of g(x) = max(x^T A x, 0)^2 / 4 + x^T B x.  Since q_+^2 / 4 is the
+    maximum over c >= 0 of c q - c^2, and the best c = q / 2 is at most
+    lambda_max(A) / 2 <= ||M_K||_2 <= 1, the two maxima swap exactly:
+    max g = max over c in [0, 1] of psi(c) = lambda_max(c A + B) - c^2.
+
+    lambda_max(c A + B) is convex in c, so on an interval the chord of its
+    end values bounds it from above, and the chord minus c^2 bounds psi.
+    Branch and bound from a 9-point grid splits the interval with the
+    highest such bound at its midpoint until that bound is within ``gap``
+    (on the unit scale) of the best psi evaluated, or ``max_evals``
+    evaluations are spent.  The highest open bound is an upper bound on
+    max psi either way; the return value is ||M||^2 times one minus it, so
+    only eigensolver rounding can put it above the true minimum.
+    """
+    m = np.asarray(h_hat_matrix, dtype=complex)
+    k = m.shape[1]
+    norm_sq = float(np.linalg.norm(m)) ** 2
+    if norm_sq == 0.0:
+        return 0.0
+    m = m / math.sqrt(norm_sq)
+    head = m[:k].conj()
+    a = _real_block(head + head.T)
+    c_map = _real_block(m[k:].conj())
+    b = c_map.T @ c_map
+
+    def lam_max(c: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(c[:, None, None] * a + b)[:, -1]
+
+    def chord_bound(c0, c1, l0, l1):
+        slope = (l1 - l0) / (c1 - c0)
+        c = min(max(slope / 2.0, c0), c1)
+        return l0 + slope * (c - c0) - c * c
+
+    grid = np.linspace(0.0, 1.0, 9)
+    values = lam_max(grid)
+    best = float(np.max(values - grid ** 2))
+    heap = [(-chord_bound(*cs, *ls), *cs, *ls)
+            for cs, ls in zip(zip(grid[:-1], grid[1:]), zip(values[:-1], values[1:]))]
+    heapq.heapify(heap)
+    for _ in range(max_evals):
+        neg_upper, c0, c1, l0, l1 = heap[0]
+        if -neg_upper - best <= gap:
+            break
+        heapq.heappop(heap)
+        mid = 0.5 * (c0 + c1)
+        lm = float(lam_max(np.array([mid]))[0])
+        best = max(best, lm - mid * mid)
+        heapq.heappush(heap, (-chord_bound(c0, mid, l0, lm), c0, mid, l0, lm))
+        heapq.heappush(heap, (-chord_bound(mid, c1, lm, l1), mid, c1, lm, l1))
+    return norm_sq * (1.0 + heap[0][0])
 
 
 def lmmse_spectral(h_ls: np.ndarray, pilot_count: int, beta: float,

@@ -15,7 +15,6 @@ from bsc_estim.experiments import (
     iter_experiment,
     load_config,
     resolve_workers,
-    run_experiment,
     write_csv,
 )
 from conftest import run_cli, run_python
@@ -253,7 +252,7 @@ class TestRunExperiment:
             sweep_grid = 0, 10
             estimator = BOTH
         """)
-        table = run_experiment(cfg)
+        table = ResultTable.concat(iter_experiment(cfg))
         assert {"p_r_ls", "p_r_lmmse", "mse_ls", "snr_mc_ls", "snr_approx",
                 "snr_perfect", "snr_isotropic", "p_r_perfect",
                 "p_r_isotropic"} <= set(table.metric)
@@ -270,7 +269,7 @@ class TestRunExperiment:
             sweep_grid = 2e-4, 1e-3
             estimator = LS
         """)
-        table = run_experiment(cfg)
+        table = ResultTable.concat(iter_experiment(cfg))
         at_tau = table.value[np.isclose(table.sweep_value, 1e-3)
                              & np.char.startswith(table.metric.astype(str), "snr")]
         assert at_tau.size and np.all(at_tau == 0.0)
@@ -286,7 +285,7 @@ class TestRunExperiment:
             sweep_grid = {grid}
             estimator = LS
         """)
-        table = run_experiment(cfg)
+        table = ResultTable.concat(iter_experiment(cfg))
 
         def at(metric, k):
             (value,) = table.value[(table.metric == metric) & (table.sweep_value == k)]
@@ -301,7 +300,7 @@ class TestRunExperiment:
             sweep = COMPARE
             sweep_grid = 100
         """)
-        table = run_experiment(cfg)
+        table = ResultTable.concat(iter_experiment(cfg))
         norm = table.value[table.metric == "norm_isotropic"]
         assert norm.tolist() == [pytest.approx(2.0 / 420.0, abs=1e-5)]
 
@@ -311,7 +310,7 @@ class TestRunExperiment:
             sweep = N_SWEEP
             sweep_grid = 4, 8
         """)
-        table = run_experiment(cfg)
+        table = ResultTable.concat(iter_experiment(cfg))
         assert {"k_joint", "tau_c_joint", "snr_joint", "snr_fixed",
                 "snr_opt_ta"} <= set(table.metric)
 
@@ -341,7 +340,7 @@ class TestRunExperiment:
             estimator = BOTH
             workers = 1
         """)
-        table = run_experiment(cfg)
+        table = ResultTable.concat(iter_experiment(cfg))
         assert set(table.metric) >= {"snr_mc_ls", "snr_mc_lmmse"}
         assert len(calls) == 7 * 3
 
@@ -372,7 +371,7 @@ class TestRunExperiment:
             estimator = LS
         """)
         assert cfg.workers == 0
-        run_experiment(cfg)
+        ResultTable.concat(iter_experiment(cfg))
         assert seen == [3, 3]
 
     @pytest.mark.parametrize("body", [
@@ -387,7 +386,7 @@ class TestRunExperiment:
             cfg = _quick_cfg(tmp_path, f"n_antennas = 5\ntrials = 12\nseed = 4\n"
                                        f"workers = 1\nestimator = {estimator}\n{body}")
             out = tmp_path / f"{estimator}.csv"
-            write_csv(run_experiment(cfg), str(out))
+            write_csv(ResultTable.concat(iter_experiment(cfg)), str(out))
             return out.read_text(encoding="utf-8").splitlines()
 
         both = lines("BOTH")
@@ -408,8 +407,8 @@ class TestRunExperiment:
             estimator = LS
             seed = 99
         """
-        table_a = run_experiment(_quick_cfg(tmp_path, body))
-        table_b = run_experiment(_quick_cfg(tmp_path, body))
+        table_a = ResultTable.concat(iter_experiment(_quick_cfg(tmp_path, body)))
+        table_b = ResultTable.concat(iter_experiment(_quick_cfg(tmp_path, body)))
         for column in ("sweep_value", "metric", "value", "std_error", "trials"):
             np.testing.assert_array_equal(getattr(table_a, column),
                                           getattr(table_b, column), strict=True)
