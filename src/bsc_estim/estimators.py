@@ -16,10 +16,10 @@ phi(S), because every positive eigenpair seeds a candidate, and refines the
 candidates of every estimate.
 
 :func:`prior_covariance` and :func:`lmmse_gain` solve the same filter as a
-dense NK x NK system; only tests call them, as the reference, and they
-take and return plain arrays.  They stay in this module rather than in the
-tests' oracles because ``perfbench/tracer.py`` wraps both by name, and
-``tests/test_names.py`` guards every name it wraps: moving them would stop
+dense NK x NK system; only tests call them, as the reference.  They stay
+in this module rather than in the tests' oracles because
+``perfbench/tracer.py`` wraps both by name, and ``tests/test_names.py``
+guards every name it wraps: moving them would stop
 ``perfbench/run.py --trace 1``.
 """
 
@@ -57,8 +57,7 @@ class VectorEstimate:
     ``top_eigenvalue`` is the top eigenvalue of the realified head block of
     the matrix estimate, at its own scale.  ``degenerate`` marks all-noise
     inputs where no direction could be recovered; callers treat those as
-    zero beamforming gain.  The rank-one fitting error at ``h_hat`` is not
-    carried: no caller in the pipeline reads it.
+    zero beamforming gain.
     """
 
     h_hat: np.ndarray
@@ -113,20 +112,25 @@ def lmmse_gain(pilot_scaled: np.ndarray, c_hv: np.ndarray,
     """Linear MMSE gain W with vec(H_hat) = W @ vec(Y).
 
     ``c_hv`` is the NK x NK prior of :func:`prior_covariance`; K is read
-    from the K x K pilot matrix and N from the prior's size.  Solves the
-    NK x NK regularized system C S^H (S C S^H + N0 I)^{-1} through a
-    Hermitian eigendecomposition.  The Gram matrix is floored at N0, its
-    exact lower bound, so the prior's null directions stay harmless even when
-    N0 is many orders below the signal scale.
+    from the K x K pilot matrix and N = NK / K from the prior's size, and
+    N >= K.  For K >= 2 the entries (1, 0) and (0, 1) of H_K are the same
+    product h_1 h_0, so a prior of vec(H_K) correlates indices 1 and N; a
+    prior that does not was built for another split of its size and is
+    rejected.  Solves the NK x NK regularized system
+    C S^H (S C S^H + N0 I)^{-1} through a Hermitian eigendecomposition.  The
+    Gram matrix is floored at N0, its exact lower bound, so the prior's null
+    directions stay harmless even when N0 is many orders below the signal
+    scale.
     """
     if noise_var <= 0:
         raise ValueError(f"noise_var must be positive, got {noise_var}")
     s0 = np.asarray(pilot_scaled, dtype=complex)
     k, dim = len(s0), len(c_hv)
-    if not k or s0.shape != (k, k) or c_hv.shape != (dim, dim) or dim % k:
+    n = dim // max(k, 1)
+    if (not k or s0.shape != (k, k) or c_hv.shape != (dim, dim) or dim % k
+            or n < k or (k > 1 and c_hv[1, n] == 0)):
         raise ValueError(
             f"pilot matrix shape {s0.shape} does not match prior shape {c_hv.shape}")
-    n = dim // k
     s_v = np.kron(s0.T, np.eye(n))
     c_sh = c_hv @ s_v.conj().T
     gram = s_v @ c_sh + noise_var * np.eye(n * k)

@@ -8,8 +8,8 @@ turns them into a real symmetric eigenvalue problem over the leading block
 The pipeline uses :func:`phi` alone.
 :func:`bsc_estim.estimators.vector_estimate` forms the head's symmetric part
 S = conj(M_K) + conj(M_K)^T once and hands it to both recovery paths; only
-the 1 < K < N path maps it through :func:`phi`.  :func:`build_realified`,
-which only tests call, returns the operator pair as two plain arrays.
+the 1 < K < N path maps it through :func:`phi`.  Only tests call
+:func:`build_realified`.
 """
 
 from __future__ import annotations

@@ -64,8 +64,14 @@ def _real_block(t: np.ndarray) -> np.ndarray:
     return np.block([[t.real, -t.imag], [-t.imag, -t.real]])
 
 
-def rank_one_dual_bound(h_hat_matrix: np.ndarray, gap: float = 1e-12,
-                        max_evals: int = 2000) -> float:
+# rank_one_dual_bound stops when its upper bound on max psi is within this
+# of the best psi evaluated (on the unit scale), or after this many
+# eigenvalue evaluations
+_DUAL_GAP = 1e-12
+_DUAL_MAX_EVALS = 2000
+
+
+def rank_one_dual_bound(h_hat_matrix: np.ndarray) -> float:
     """Certified lower bound on min over h of ||M - h h_K^T||^2.
 
     Scale M to unit norm, write the head as a = r u with ||u|| = 1 and
@@ -82,11 +88,12 @@ def rank_one_dual_bound(h_hat_matrix: np.ndarray, gap: float = 1e-12,
     lambda_max(c A + B) is convex in c, so on an interval the chord of its
     end values bounds it from above, and the chord minus c^2 bounds psi.
     Branch and bound from a 9-point grid splits the interval with the
-    highest such bound at its midpoint until that bound is within ``gap``
-    (on the unit scale) of the best psi evaluated, or ``max_evals``
-    evaluations are spent.  The highest open bound is an upper bound on
-    max psi either way; the return value is ||M||^2 times one minus it, so
-    only eigensolver rounding can put it above the true minimum.
+    highest such bound at its midpoint until that bound is within
+    ``_DUAL_GAP`` = 1e-12 (on the unit scale) of the best psi evaluated, or
+    ``_DUAL_MAX_EVALS`` evaluations are spent.  The highest open bound is
+    an upper bound on max psi either way; the return value is ||M||^2 times
+    one minus it, so only eigensolver rounding can put it above the true
+    minimum.
     """
     m = np.asarray(h_hat_matrix, dtype=complex)
     k = m.shape[1]
@@ -113,9 +120,9 @@ def rank_one_dual_bound(h_hat_matrix: np.ndarray, gap: float = 1e-12,
     heap = [(-chord_bound(*cs, *ls), *cs, *ls)
             for cs, ls in zip(zip(grid[:-1], grid[1:]), zip(values[:-1], values[1:]))]
     heapq.heapify(heap)
-    for _ in range(max_evals):
+    for _ in range(_DUAL_MAX_EVALS):
         neg_upper, c0, c1, l0, l1 = heap[0]
-        if -neg_upper - best <= gap:
+        if -neg_upper - best <= _DUAL_GAP:
             break
         heapq.heappop(heap)
         mid = 0.5 * (c0 + c1)

@@ -75,6 +75,17 @@ def _rx_at_ce_snr(gamma_e_db, k, seed, n=20, tau_c=1e-4):
     return params, chan, rx, PilotConfig(k, tau_c)
 
 
+def _seeded_estimates(k, gamma_e_db, seed, t):
+    """LS and LMMSE estimates of one seeded N = 20 draw, the draw that
+    trial t of a Monte Carlo run with this seed makes."""
+    params = params_at_ce_snr_db(gamma_e_db)
+    pilots = build_pilots(k, 1e-4, params.tx_power)
+    chan = draw_channel(params, (seed, t, 0), pilot_count=k)
+    rx = backscatter(chan, pilots, params.tag_amp_ce, params.noise_var, (seed, t, 1))
+    ls = ls_matrix(rx)
+    return [ls, lmmse_matrix(ls, params.beta, params.noise_var)]
+
+
 class TestLsMatrix:
     def test_noiseless_recovers_cascaded(self):
         params, chan, rx, cfg = _rx_at_ce_snr(0.0, 3, seed=1, n=5)
@@ -198,10 +209,15 @@ class TestLmmseMatrix:
 
     def test_dense_gain_rejects_mismatched_shapes(self):
         # N and K come from the shapes, so a pilot matrix that does not fit
-        # the prior fails instead of broadcasting
+        # the prior fails instead of broadcasting; that includes a prior
+        # whose size also splits as N x K for the pilots' K, but with K > N
+        # (8 = 2 x 4, 4 = 1 x 4) or with another pairing of the head
+        # (12 = 4 x 3)
         c_hv = prior_covariance(1.0, 4, 2)
         for pilots, prior in [(np.eye(3), c_hv), (np.ones((2, 3)), c_hv),
-                              (np.eye(2), c_hv[:, :6]), (np.eye(3), c_hv[:4, :4])]:
+                              (np.eye(2), c_hv[:, :6]), (np.eye(3), c_hv[:4, :4]),
+                              (np.eye(4), c_hv), (np.eye(4), prior_covariance(1.0, 2, 2)),
+                              (np.eye(3), prior_covariance(1.0, 6, 2))]:
             with pytest.raises(ValueError, match="pilot matrix shape"):
                 lmmse_gain(pilots, prior, 1.0)
         assert lmmse_gain(np.eye(2), c_hv, 1.0).shape == (8, 8)
@@ -463,16 +479,6 @@ class TestVectorEstimate:
         v_big = vector_estimate(MatrixEstimate(m * 1e12, LS, E0))
         assert v_big.h_hat == pytest.approx(v_small.h_hat * 1e6, rel=1e-9)
 
-    @staticmethod
-    def _seeded_estimates(k, gamma_e_db, seed, t):
-        """LS and LMMSE estimates of one seeded N = 20 draw."""
-        params = params_at_ce_snr_db(gamma_e_db)
-        pilots = build_pilots(k, 1e-4, params.tx_power)
-        chan = draw_channel(params, (seed, t, 0), pilot_count=k)
-        rx = backscatter(chan, pilots, params.tag_amp_ce, params.noise_var, (seed, t, 1))
-        ls = ls_matrix(rx)
-        return [ls, lmmse_matrix(ls, params.beta, params.noise_var)]
-
     def test_refinement_bitwise_equal_to_reference(self, monkeypatch):
         # LS and LMMSE estimates at N = 20 from seeded draws; K = 2 refines
         # every candidate, K = 10 and 19 the principal pair plus the two best
@@ -480,8 +486,8 @@ class TestVectorEstimate:
         # K = 10, 0 dB training SNR), where one start stops at max_iter = 60
         corpus = [est for k in (2, 10, 19) for gamma_e_db in (-5.0, 0.0, 5.0)
                   for t in range(12)
-                  for est in self._seeded_estimates(k, gamma_e_db, 2024, t)]
-        corpus.append(self._seeded_estimates(10, 0.0, 1, 63)[0])
+                  for est in _seeded_estimates(k, gamma_e_db, 2024, t)]
+        corpus.append(_seeded_estimates(10, 0.0, 1, 63)[0])
 
         # every refinement, start by start: same vector and a cost equal to
         # the fitting error the oracle computes
@@ -596,14 +602,13 @@ class TestDualBound:
         # printed draw is one where the estimate misses the global fit
         cfg = load_config(str(Path(__file__).resolve().parents[1] / "perfbench"
                               / "workloads" / "k_sweep_mid.cfg"))
-        params, k = cfg.params, 10
-        pilots = build_pilots(k, cfg.pilot.ce_time, params.tx_power)
+        # the workload runs at 0 dB training SNR, the setup _seeded_estimates
+        # draws from
+        assert cfg.params == params_at_ce_snr_db(0.0) and cfg.pilot.ce_time == 1e-4
+        k = 10
         below = []
         for t in range(cfg.trials):
-            chan = draw_channel(params, (cfg.seed, t, 0), pilot_count=k)
-            rx = backscatter(chan, pilots, params.tag_amp_ce, params.noise_var,
-                             (cfg.seed, t, 1))
-            est = ls_matrix(rx)
+            est = _seeded_estimates(k, 0.0, cfg.seed, t)[0]
             m = est.h_hat_matrix
             gap = ((rank_one_objective(m, vector_estimate(est).h_hat)
                     - rank_one_dual_bound(m)) / np.linalg.norm(m) ** 2)
