@@ -104,18 +104,21 @@ class SystemParams:
 
     Every field lies in its :data:`ENVELOPE` row.  A derived ``beta``
     lies in its row whenever the carrier, range and exponent lie in theirs.
+
+    The defaults are the reference reader setup that every study starts
+    from, and the values a config takes for the keys it omits.
     """
 
-    n_antennas: int
-    coherence_time: float        # tau
-    sample_len: float            # L
-    tx_power: float              # p_t
-    tag_amp_ce: float            # |reflection contrast| during training
-    tag_amp_id: float            # average modulation amplitude while decoding
-    noise_var: float             # N0
-    carrier_freq: float          # f
-    distance: float              # d, reader-to-tag range
-    pathloss_exp: float          # rho
+    n_antennas: int = 20
+    coherence_time: float = 1e-3     # tau
+    sample_len: float = 5e-6         # L
+    tx_power: float = 1.0            # p_t, 30 dBm
+    tag_amp_ce: float = 0.78         # |reflection contrast| during training
+    tag_amp_id: float = 0.3162       # average modulation amplitude while decoding
+    noise_var: float = 1e-20         # N0
+    carrier_freq: float = 915e6      # f
+    distance: float = 100.0          # d, reader-to-tag range
+    pathloss_exp: float = 2.5        # rho
     beta: float | None = None
 
     def __post_init__(self) -> None:
@@ -176,11 +179,11 @@ class PilotConfig:
 
     ``ce_time`` is treated as continuous inside all math; quantization to a
     multiple of the sample length happens only at configuration boundaries,
-    see :func:`quantize_ce_time`.
+    see :func:`quantize_ce_time`.  The default slot is the reference setup's.
     """
 
     pilot_count: int             # K
-    ce_time: float               # tau_c, seconds
+    ce_time: float = 1e-4        # tau_c, seconds
 
     def __post_init__(self) -> None:
         if self.pilot_count < 1:

@@ -127,8 +127,9 @@ def _cmd_run(args) -> int:
                 write_csv(rows, partial)
                 print(f"wrote {len(rows)} partial rows to {partial}",
                       file=sys.stderr)
-            except Exception:
-                pass
+            except Exception as write_exc:  # noqa: BLE001 - say what was lost
+                print(f"could not write partial rows to {partial}: {write_exc}",
+                      file=sys.stderr)
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     try:
@@ -171,39 +172,37 @@ def _cmd_optimize(args) -> int:
 def _selftest_checks():
     import numpy as np
 
-    from .channel import SystemParams, backscatter, build_pilots, draw_channel, path_loss_beta
+    from .channel import PilotConfig, SystemParams, backscatter, build_pilots, draw_channel
     from .estimators import ls_matrix, vector_estimate
     from .optimizer import optimal_ta, snr_threshold
     from .snr import snr_approx, snr_isotropic, snr_perfect_csi
 
-    params = SystemParams(
-        n_antennas=20, coherence_time=1e-3, sample_len=5e-6, tx_power=1.0,
-        tag_amp_ce=0.78, tag_amp_id=0.3162, noise_var=1e-20,
-        carrier_freq=915e6, distance=100.0, pathloss_exp=2.5,
-    )
+    params = SystemParams()     # the reference setup
+    n, p_t, a0, tau_c = (params.n_antennas, params.tx_power, params.tag_amp_ce,
+                         PilotConfig.ce_time)
 
-    beta = path_loss_beta(915e6, 100.0, 2.5)
-    yield "path loss gain at reference point", abs(beta / 6.807389387418555e-9 - 1) < 1e-12
+    yield "path loss gain at reference point", abs(params.beta / 6.807389387418555e-9 - 1) < 1e-12
 
-    s = build_pilots(4, 1e-4, 1.0)
+    s = build_pilots(4, tau_c, p_t)
     gram = s @ s.conj().T
-    yield "pilot orthogonality", np.allclose(gram, (1e-4 / 4) * np.eye(4), rtol=1e-12, atol=0)
+    yield "pilot orthogonality", np.allclose(gram, (p_t * tau_c / 4) * np.eye(4),
+                                             rtol=1e-12, atol=0)
 
-    for k in (1, 20):   # both pilot-count corners
+    for k in (1, n):   # both pilot-count corners
         chan = draw_channel(params, 7, pilot_count=k)
-        rx = backscatter(chan, build_pilots(k, 1e-4, 1.0), 0.78, 0.0, 8)
+        rx = backscatter(chan, build_pilots(k, tau_c, p_t), a0, 0.0, 8)
         vest = vector_estimate(ls_matrix(rx))
         err = min(np.linalg.norm(vest.h_hat - chan.h), np.linalg.norm(vest.h_hat + chan.h))
         yield f"noiseless recovery at K = {k}", err <= 1e-8 * np.linalg.norm(chan.h)
 
-    yield "pilot-count threshold at N=20", abs(snr_threshold(20) - 361.0 / 168.0) < 1e-12
+    yield "pilot-count threshold at N=20", abs(snr_threshold(n) - 361.0 / 168.0) < 1e-12
 
     ratio = snr_isotropic(params) / snr_perfect_csi(params)
     yield "isotropic normalization", abs(ratio - 2.0 / 420.0) < 1e-15
 
-    tau_opt = optimal_ta(20, params)
+    tau_opt = optimal_ta(n, params)
     grid = np.linspace(1e-9, params.coherence_time * (1 - 1e-9), 2001)
-    vals = [snr_approx(t, 20, params) for t in grid]
+    vals = [snr_approx(t, n, params) for t in grid]
     best = grid[int(np.argmax(vals))]
     yield "optimal time allocation vs grid", abs(tau_opt - best) <= grid[1] - grid[0]
 

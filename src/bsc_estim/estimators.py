@@ -179,8 +179,11 @@ def _rank_one_objective(h_hat_matrix: np.ndarray, h: np.ndarray, k: int) -> floa
     return _norm(h_hat_matrix - np.outer(h, h[:k])) ** 2
 
 
-def _refine(h_hat_matrix: np.ndarray, h0: np.ndarray, k: int,
-            max_iter: int = 60) -> tuple[np.ndarray, float]:
+# Most damped Newton steps one refinement takes; see _refine.
+_REFINE_MAX_ITER = 60
+
+
+def _refine(h_hat_matrix: np.ndarray, h0: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     """Descend the fitting error from h0 towards the nearby stationary point.
 
     Returns the refined vector and its fitting error, which is bit for bit
@@ -195,12 +198,13 @@ def _refine(h_hat_matrix: np.ndarray, h0: np.ndarray, k: int,
     Hessian is the Gauss-Newton matrix plus the realified symmetrized
     residual, and convergence is quadratic once the damping has shrunk.
 
-    It returns after ``max_iter`` iterations wherever it stands, and that
-    point need not be stationary.  On C09's study (N = 20, K = 2..19, -5, 0
-    and +5 dB, 1000 seeded trials) 1428 of 117891 refinements (1.2%) stopped
-    there, with a unit-normalized gradient up to 0.55 and an objective up to
-    8.7 times the one 600 iterations reach; on 239 of them the converged
-    start would have beaten the candidate that won.
+    It returns after :data:`_REFINE_MAX_ITER` iterations wherever it
+    stands, and that point need not be stationary.  On C09's study (N = 20,
+    K = 2..19, -5, 0 and +5 dB, 1000 seeded trials) 1428 of 117891
+    refinements (1.2%) stopped there, with a unit-normalized gradient up to
+    0.55 and an objective up to 8.7 times the one 600 iterations reach; on
+    239 of them the converged start would have beaten the candidate that
+    won.  These figures hold for a cap of 60.
 
     The real 2N x 2N Hessian is [[B_re, -B_im], [B_im, B_re]] plus
     [[A_re, -A_im], [-A_im, -A_re]], with B the complex Gauss-Newton block
@@ -241,7 +245,7 @@ def _refine(h_hat_matrix: np.ndarray, h0: np.ndarray, k: int,
     hess_21, hess_22 = hess[n:, :n], hess[n:, n:]
     hess_diag = hess.reshape(-1)[::2 * n + 1]  # writable view of diag(hess)
     undamped, gauss_diag = np.empty(2 * n), np.empty(2 * n)
-    for _ in range(max_iter):
+    for _ in range(_REFINE_MAX_ITER):
         # conjugate (Wirtinger) gradient R conj(h_K), plus R^T conj(h) on the head
         np.conjugate(h, out=h_conj)
         np.matmul(r, h_conj_k, out=g)

@@ -1,12 +1,13 @@
 """Batch experiment runner: config parsing, sweep orchestration, CSV output.
 
 Configs are flat ``key = value`` text with ``#`` comments.  Each key's
-parser and default, which is the reference reader setup, are stated once, in
-``_KEYS``; each sweep kind's runner, envelope row and default grid once, in
-``_SWEEPS``.  Checks that span more than one key are code in
-:func:`load_config`.  Every run is fully determined by (config, seed):
-trials are sub-seeded by index and reductions are order-exact, so identical
-runs produce byte-identical CSV files.
+parser and default are stated once, in ``_KEYS``, which reads the reference
+reader setup from the defaults of ``SystemParams`` and ``PilotConfig``; each
+sweep kind's runner, envelope row and default grid once, in ``_SWEEPS``.
+Checks that span more than one key are code in :func:`load_config`.  Every
+run is fully determined by (config, seed): trials are sub-seeded by index and
+reductions are order-exact, so identical runs produce byte-identical CSV
+files.
 
 Sweep kinds, what their grids hold, and the rows they write:
 
@@ -86,25 +87,17 @@ def _parse_grid(raw: str) -> list[float]:
 
 
 # Every config key: its parser, and the value it takes when a config omits
-# it, which is the reference reader setup.  A None default means the key's
+# it.  The physical keys are the fields of SystemParams and PilotConfig, whose
+# defaults are the reference reader setup.  A None default means the key's
 # absence has its own meaning: beta comes from the link budget, pilot_count
 # is n_antennas, tx_power_dbm leaves tx_power as it is, and sweep_grid is
 # the sweep kind's default grid.
 _KEYS = {
-    "n_antennas": (int, 20),
-    "coherence_time": (float, 1e-3),
-    "sample_len": (float, 5e-6),
-    "tx_power": (float, 1.0),              # 30 dBm
+    **{f.name: (int if f.name == "n_antennas" else float, f.default)
+       for f in fields(SystemParams)},
     "tx_power_dbm": (float, None),
-    "tag_amp_ce": (float, 0.78),
-    "tag_amp_id": (float, 0.3162),
-    "noise_var": (float, 1e-20),
-    "carrier_freq": (float, 915e6),
-    "distance": (float, 100.0),
-    "pathloss_exp": (float, 2.5),
-    "beta": (float, None),
     "pilot_count": (int, None),
-    "ce_time": (float, 1e-4),
+    "ce_time": (float, PilotConfig.ce_time),
     "quantize_ce_time": (_parse_bool, False),
     "sweep": (str, "SNR_SWEEP"),
     "sweep_grid": (_parse_grid, None),

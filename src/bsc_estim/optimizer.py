@@ -193,7 +193,12 @@ def decide(params: SystemParams, has_prior_stats: bool) -> OptimizationOutcome:
 
     The LMMSE front end needs the channel's second-order statistics (beta
     and the noise level); whether those are known is a caller fact, so it
-    arrives as a flag rather than being inferred.
+    arrives as a flag rather than being inferred.  LMMSE is chosen whenever
+    they are, which is the default, although it can lose on the recovered
+    vector.  At N = 20 its matrix MSE is below LS's everywhere (ratio
+    0.005-0.77), yet for K in {10, 20} its vector MSE is 1.75-2.08 times
+    LS's at +10 dB training SNR and 1.28-1.32 times at +20 dB, and its
+    mid-K received power is 1.4-3.9% lower at +5 and +10 dB.
     """
     return replace(joint_optimize(params),
                    estimator_choice=LMMSE if has_prior_stats else LS)

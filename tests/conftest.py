@@ -14,28 +14,12 @@ from bsc_estim.experiments import _params_for_ce_snr_db
 @pytest.fixture
 def ref_params():
     """Reference reader setup used across the studies."""
-    return SystemParams(
-        n_antennas=20,
-        coherence_time=1e-3,
-        sample_len=5e-6,
-        tx_power=1.0,
-        tag_amp_ce=0.78,
-        tag_amp_id=0.3162,
-        noise_var=1e-20,
-        carrier_freq=915e6,
-        distance=100.0,
-        pathloss_exp=2.5,
-    )
+    return SystemParams()
 
 
 def make_params(**overrides):
-    base = dict(
-        n_antennas=20, coherence_time=1e-3, sample_len=5e-6, tx_power=1.0,
-        tag_amp_ce=0.78, tag_amp_id=0.3162, noise_var=1e-20,
-        carrier_freq=915e6, distance=100.0, pathloss_exp=2.5,
-    )
-    base.update(overrides)
-    return SystemParams(**base)
+    """The reference setup with ``overrides`` in place of its defaults."""
+    return SystemParams(**overrides)
 
 
 def params_at_ce_snr_db(gamma_e_db: float, tau_c: float = 1e-4, **overrides):

@@ -483,7 +483,8 @@ class TestVectorEstimate:
         # LS and LMMSE estimates at N = 20 from seeded draws; K = 2 refines
         # every candidate, K = 10 and 19 the principal pair plus the two best
         # fits.  The last draw is trial 63 of perfbench's k_sweep_mid (seed 1,
-        # K = 10, 0 dB training SNR), where one start stops at max_iter = 60
+        # K = 10, 0 dB training SNR), where one start stops at
+        # _refine's cap, estimators._REFINE_MAX_ITER = 60
         corpus = [est for k in (2, 10, 19) for gamma_e_db in (-5.0, 0.0, 5.0)
                   for t in range(12)
                   for est in _seeded_estimates(k, gamma_e_db, 2024, t)]

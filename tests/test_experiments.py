@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bsc_estim import cli, experiments, snr
+from bsc_estim.channel import PilotConfig, SystemParams
 from bsc_estim.estimators import LMMSE, LS
 from bsc_estim.experiments import (
     MAX_WORKERS,
@@ -56,6 +57,13 @@ class TestLoadConfig:
         assert cfg.pilot.pilot_count == 20
         assert cfg.sweep == "SNR_SWEEP"
         assert cfg.trials == 10_000
+
+    def test_empty_file_gives_the_dataclass_defaults(self, tmp_path):
+        # the reference setup is stated once, as SystemParams and PilotConfig
+        # defaults, and the config reader takes it from there
+        cfg = load_config(_write(tmp_path, ""))
+        assert cfg.params == SystemParams()
+        assert cfg.pilot == PilotConfig(20)
 
     def test_comments_and_overrides(self, tmp_path):
         cfg = load_config(_write(tmp_path, """
@@ -607,6 +615,28 @@ class TestCli:
         assert len(partial.read_text(encoding="utf-8").splitlines()) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "exp.cfg", "rows.csv.partial"]
+
+    def test_failed_partial_write_is_reported(self, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+
+        def fail_after_losing_the_directory(cfg):
+            yield ResultTable.from_rows([(0.0, "p_r_ls", 1.0, 0.0, 5)])
+            out_dir.rmdir()
+            raise RuntimeError("injected failure after one table")
+
+        monkeypatch.setattr("bsc_estim.experiments.iter_experiment",
+                            fail_after_losing_the_directory)
+        partial = out_dir / "rows.csv.partial"
+        rc = cli.main(["run", "--config", _write(tmp_path, ""),
+                       "--out", str(out_dir / "rows.csv")])
+        assert rc == 2
+        # the header line, then the lost rows, then the runtime error
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            f"could not write partial rows to {partial}: "
+            f"output directory does not exist: {str(out_dir)!r}",
+            "runtime error: injected failure after one table"]
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("line", [
         "noise_var = nan", "distance = inf", "beta = inf", "ce_time = nan",

@@ -243,6 +243,28 @@ class TestApproxMoments:
         emp_var = np.mean(np.abs(upsilon - np.mean(upsilon)) ** 2)
         assert emp_var == pytest.approx(mom.sigma2, rel=0.10)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40])
+    def test_moments_are_the_rician_step_behind_snr_approx(self, n):
+        # snr_approx is the decoding scale times E|upsilon|^4 = mu^4 +
+        # 4 mu^2 sigma2 + 2 sigma2^2 for the Rician projection upsilon ~
+        # CN(mu, sigma2) of approx_moments, averaged over mu = ||h_hat|| of an
+        # estimate h_hat ~ CN(0, (beta - sigma2) I_N); LS and LMMSE share
+        # sigma2
+        for k in sorted({1, n}):
+            cfg = PilotConfig(k, 1e-4)
+            for gamma_e_db in range(-10, 31, 5):
+                p = params_at_ce_snr_db(float(gamma_e_db), n_antennas=n)
+                sigma2 = {flavor: approx_moments(flavor, cfg, p, 1.0).sigma2
+                          for flavor in (LS, LMMSE)}
+                assert sigma2[LMMSE] == pytest.approx(sigma2[LS], rel=1e-12)
+                scale = ((p.coherence_time - cfg.ce_time) * p.tx_power
+                         * p.tag_amp_id ** 2 / p.noise_var)
+                for s2 in sigma2.values():
+                    mu2 = n * (p.beta - s2)
+                    mu4 = n * (n + 1) * (p.beta - s2) ** 2
+                    assert scale * (mu4 + 4 * mu2 * s2 + 2 * s2 ** 2) == pytest.approx(
+                        snr_approx(cfg.ce_time, k, p), rel=1e-12)
+
 
 class TestMonteCarlo:
     def test_deterministic_same_seed(self):
