@@ -153,6 +153,11 @@ class ParamGrid:
         self.beta_sq = np.array([b ** 2 for b in beta.tolist()])
 
     @classmethod
+    def at(cls, params: SystemParams) -> "ParamGrid":
+        """``params`` as a grid of one point."""
+        return cls(params, [params.beta], [params.n_antennas])
+
+    @classmethod
     def over_ranges(cls, params: SystemParams, distances) -> "ParamGrid":
         """One point per range, each with its own derived path-loss gain."""
         beta = [path_loss_beta(params.carrier_freq, d, params.pathloss_exp)

@@ -172,10 +172,11 @@ def _cmd_optimize(args) -> int:
 def _selftest_checks():
     import numpy as np
 
-    from .channel import PilotConfig, SystemParams, backscatter, build_pilots, draw_channel
+    from .channel import (ParamGrid, PilotConfig, SystemParams, backscatter, build_pilots,
+                          draw_channel)
     from .estimators import ls_matrix, vector_estimate
     from .optimizer import optimal_ta, snr_threshold
-    from .snr import snr_approx, snr_isotropic, snr_perfect_csi
+    from .snr import snr_approx_grid, snr_isotropic, snr_perfect_csi
 
     params = SystemParams()     # the reference setup
     n, p_t, a0, tau_c = (params.n_antennas, params.tx_power, params.tag_amp_ce,
@@ -202,7 +203,7 @@ def _selftest_checks():
 
     tau_opt = optimal_ta(n, params)
     grid = np.linspace(1e-9, params.coherence_time * (1 - 1e-9), 2001)
-    vals = [snr_approx(t, n, params) for t in grid]
+    vals = snr_approx_grid(grid, n, ParamGrid.over_antennas(params, [n] * grid.size))
     best = grid[int(np.argmax(vals))]
     yield "optimal time allocation vs grid", abs(tau_opt - best) <= grid[1] - grid[0]
 

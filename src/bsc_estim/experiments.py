@@ -25,9 +25,10 @@ Sweep kinds, what their grids hold, and the rows they write:
   COMPARE    grid = ranges in meters, > 0; all scheme SNRs plus
              normalizations against the perfect-knowledge benchmark.
 
-JOINT and COMPARE derive beta at each range, so a config that gives them
-``beta`` fails at load, as does one that sets both ``tx_power`` and
-``tx_power_dbm``.
+A config fails at load when it sets a physical key that its sweep's grid or
+optimizer supplies itself (each ``_SWEEPS`` row names them: ``beta`` and
+``distance`` for JOINT and COMPARE, for instance), or when it sets both
+``tx_power`` and ``tx_power_dbm``.
 
 Results travel as columns: a :class:`ResultTable` holds one array per CSV
 field.  Monte Carlo sweeps call :func:`~bsc_estim.snr.mc_metrics` at each
@@ -252,10 +253,10 @@ def load_config(path: str) -> ExperimentConfig:
     estimator = values["estimator"].upper()
     if estimator not in ESTIMATORS:
         raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    if _SWEEPS[sweep].row == "distance" and values["beta"] is not None:
-        # a range sweep derives beta at each range and would ignore this one
-        raise ConfigError(f"{sweep} derives beta from each range in sweep_grid; "
-                          "remove the beta key")
+    for key in _SWEEPS[sweep].supplies:
+        if key in given:
+            # the sweep would drop the given value without a word
+            raise ConfigError(f"{sweep} supplies {key} itself; remove the {key} key")
 
     grid = values["sweep_grid"]
     if grid is None:
@@ -467,24 +468,28 @@ def _run_compare(cfg: ExperimentConfig):
 class _Sweep(NamedTuple):
     run: Callable            # ExperimentConfig -> result tables, in row order
     row: str                 # the ENVELOPE row every grid value lies in
+    supplies: tuple          # the physical keys its grid or its optimizer sets
     default_grid: Callable   # SystemParams -> the grid when a config gives none
 
 
 _RANGES = [60.0, 80.0, 100.0, 120.0, 150.0, 180.0]
 
-# Every sweep kind: load_config reads its row and default grid, and
-# iter_experiment its runner.
+# Every sweep kind: load_config reads its row, supplied keys and default
+# grid, and iter_experiment its runner.
 _SWEEPS = {
-    "SNR_SWEEP": _Sweep(_run_snr_sweep, "training_snr_db",
+    "SNR_SWEEP": _Sweep(_run_snr_sweep, "training_snr_db", ("noise_var",),
                         lambda p: [-20.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0]),
-    "TAU_SWEEP": _Sweep(_run_tau_sweep, "ce_time", lambda p: [
-        f * p.coherence_time for f in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9)]),
-    "K_SWEEP": _Sweep(_run_k_sweep, "n_antennas",
+    "TAU_SWEEP": _Sweep(_run_tau_sweep, "ce_time", ("ce_time", "quantize_ce_time"),
+                        lambda p: [f * p.coherence_time
+                                   for f in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9)]),
+    "K_SWEEP": _Sweep(_run_k_sweep, "n_antennas", ("pilot_count",),
                       lambda p: [float(k) for k in range(1, p.n_antennas + 1)]),
-    "N_SWEEP": _Sweep(_run_n_sweep, "n_antennas",
+    "N_SWEEP": _Sweep(_run_n_sweep, "n_antennas", ("n_antennas", "pilot_count"),
                       lambda p: [2.0, 5.0, 10.0, 20.0, 50.0, 100.0]),
-    "JOINT": _Sweep(_run_joint, "distance", lambda p: list(_RANGES)),
-    "COMPARE": _Sweep(_run_compare, "distance", lambda p: list(_RANGES)),
+    "JOINT": _Sweep(_run_joint, "distance", ("beta", "distance", "ce_time", "quantize_ce_time",
+                                             "pilot_count"), lambda p: list(_RANGES)),
+    "COMPARE": _Sweep(_run_compare, "distance", ("beta", "distance", "pilot_count"),
+                      lambda p: list(_RANGES)),
 }
 
 

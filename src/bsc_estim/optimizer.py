@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ParamGrid, SystemParams
 from .estimators import LMMSE, LS
-from .snr import _ce_snr, _shape_coefficients, snr_approx_grid
+from .snr import _ce_snr, _pilot_counts, _shape_coefficients, snr_approx_grid
 
 CORNER_K1 = "CORNER_K1"
 CORNER_KN = "CORNER_KN"
@@ -62,10 +62,6 @@ def _snr_approx_derivative(tau_c: float, pilot_count: int,
     return -f + rise
 
 
-def _one_point(params: SystemParams) -> ParamGrid:
-    return ParamGrid(params, [params.beta], [params.n_antennas])
-
-
 def optimal_ta(pilot_count: int, params: SystemParams) -> float:
     """Training time maximizing the approximate SNR for a given pilot count.
 
@@ -74,7 +70,7 @@ def optimal_ta(pilot_count: int, params: SystemParams) -> float:
     converges to the interior maximizer.  This is :func:`optimal_ta_grid`
     at one point.
     """
-    return float(optimal_ta_grid(pilot_count, _one_point(params))[0])
+    return float(optimal_ta_grid(pilot_count, ParamGrid.at(params))[0])
 
 
 # Where the array derivative lies within this fraction of its two terms'
@@ -94,9 +90,7 @@ def optimal_ta_grid(pilot_count, grid: ParamGrid) -> np.ndarray:
     arithmetic to settle its sign get it from the scalar derivative.
     """
     p, n = grid.params, grid.n_antennas
-    k = np.broadcast_to(np.asarray(pilot_count), n.shape)
-    if not np.all((1 <= k) & (k <= n)):
-        raise ValueError("pilot_count outside [1, n_antennas]")
+    k = _pilot_counts(pilot_count, n)
     tau = p.coherence_time
 
     def derivative(tau_c: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -162,7 +156,7 @@ def joint_optimize(params: SystemParams) -> OptimizationOutcome:
     re-optimized at that corner.  This is :func:`joint_optimize_grid` at one
     point.
     """
-    tau_c, k, snr = joint_optimize_grid(_one_point(params))
+    tau_c, k, snr = joint_optimize_grid(ParamGrid.at(params))
     k_opt = int(k[0])
     return OptimizationOutcome(
         tau_c_opt=float(tau_c[0]),

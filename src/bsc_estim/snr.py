@@ -70,10 +70,8 @@ class McEstimate:
     trials: int
 
 
-# Each closed form below has one body that takes Python scalars or numpy
-# arrays: the scalar function passes params.beta ** 2 and params.n_antennas,
-# its *_grid form the ParamGrid's beta_sq and n_antennas, so every grid entry
-# equals the scalar function at that point bit for bit.
+# These three take Python floats for mc_snr_scale, ce_snr and the
+# optimizer's scalar sign arbiter, and numpy arrays for the *_grid forms.
 
 def _decoding_scale(p: SystemParams, beta_sq, t):
     """t p_t a_id^2 beta^2 / N0: decoding SNR per unit array gain of a slot t."""
@@ -82,6 +80,11 @@ def _decoding_scale(p: SystemParams, beta_sq, t):
 
 def _ce_snr(p: SystemParams, beta_sq, tau_c):
     return beta_sq * p.tag_amp_ce ** 2 * p.tx_power * tau_c / p.noise_var
+
+
+def _shape_coefficients(n):
+    """A = (N-1)(N-2) and B = 4(N-1) of the SNR shape A/rho + B/sqrt(rho) + 2."""
+    return (n - 1) * (n - 2), 4.0 * (n - 1)
 
 
 def ce_snr(cfg: PilotConfig, params: SystemParams) -> float:
@@ -93,46 +96,26 @@ def ce_snr(cfg: PilotConfig, params: SystemParams) -> float:
     return _ce_snr(params, params.beta ** 2, cfg.ce_time)
 
 
-def _snr_perfect_csi(p: SystemParams, beta_sq, n):
-    return (p.coherence_time * p.tx_power * p.tag_amp_id ** 2
-            * n * (n + 1) * beta_sq / p.noise_var)
-
-
 def snr_perfect_csi(params: SystemParams) -> float:
     """Decoding SNR with a genie channel: tau p_t a_id^2 N(N+1) beta^2 / N0."""
-    return _snr_perfect_csi(params, params.beta ** 2, params.n_antennas)
+    return float(snr_perfect_csi_grid(ParamGrid.at(params))[0])
 
 
 def snr_perfect_csi_grid(grid: ParamGrid) -> np.ndarray:
     """:func:`snr_perfect_csi` at every point of ``grid``."""
-    return _snr_perfect_csi(grid.params, grid.beta_sq, grid.n_antennas)
-
-
-def _snr_isotropic(p: SystemParams, beta_sq):
-    return _decoding_scale(p, beta_sq, 2.0 * p.coherence_time)
+    p, n = grid.params, grid.n_antennas
+    return (p.coherence_time * p.tx_power * p.tag_amp_id ** 2
+            * n * (n + 1) * grid.beta_sq / p.noise_var)
 
 
 def snr_isotropic(params: SystemParams) -> float:
     """Decoding SNR of blind equal-weight transmission: 2 tau p_t a_id^2 beta^2 / N0."""
-    return _snr_isotropic(params, params.beta ** 2)
+    return float(snr_isotropic_grid(ParamGrid.at(params))[0])
 
 
 def snr_isotropic_grid(grid: ParamGrid) -> np.ndarray:
     """:func:`snr_isotropic` at every point of ``grid``."""
-    return _snr_isotropic(grid.params, grid.beta_sq)
-
-
-def _shape_coefficients(n):
-    """A = (N-1)(N-2) and B = 4(N-1) of the SNR shape A/rho + B/sqrt(rho) + 2."""
-    return (n - 1) * (n - 2), 4.0 * (n - 1)
-
-
-def _snr_approx(p: SystemParams, beta_sq, n, tau_c, pilot_count):
-    rho = 1.0 + (p.noise_var * pilot_count
-                 / (beta_sq * p.tag_amp_ce ** 2 * p.tx_power * tau_c))
-    a, b = _shape_coefficients(n)
-    return (_decoding_scale(p, beta_sq, p.coherence_time - tau_c)
-            * (a / rho + b / np.sqrt(rho) + 2.0))
+    return _decoding_scale(grid.params, grid.beta_sq, 2.0 * grid.params.coherence_time)
 
 
 def snr_approx(tau_c: float, pilot_count: int, params: SystemParams) -> float:
@@ -144,30 +127,40 @@ def snr_approx(tau_c: float, pilot_count: int, params: SystemParams) -> float:
             * [ (N-1)(N-2)/rho + 4(N-1)/sqrt(rho) + 2 ]
 
     Identical for the LS and LMMSE front ends.  Concave in tau_c on
-    (0, tau) and convex in the integer-relaxed pilot count.
+    (0, tau) and convex in the integer-relaxed pilot count.  This is
+    :func:`snr_approx_grid` at one point.
     """
-    n = params.n_antennas
-    if not 0 < tau_c < params.coherence_time:
-        raise ValueError(f"tau_c={tau_c} outside (0, {params.coherence_time})")
-    if not 1 <= pilot_count <= n:
-        raise ValueError(f"pilot_count={pilot_count} outside [1, {n}]")
-    return float(_snr_approx(params, params.beta ** 2, n, tau_c, pilot_count))
+    return float(snr_approx_grid(tau_c, pilot_count, ParamGrid.at(params))[0])
+
+
+def _pilot_counts(pilot_count, n: np.ndarray) -> np.ndarray:
+    """``pilot_count`` as one count per point of array sizes ``n``.
+
+    Raises ValueError naming the first count outside [1, N].
+    """
+    k = np.broadcast_to(np.asarray(pilot_count), n.shape)
+    bad = np.flatnonzero(~((1 <= k) & (k <= n)))
+    if bad.size:
+        raise ValueError(f"pilot_count={k[bad[0]]} outside [1, {n[bad[0]]}]")
+    return k
 
 
 def snr_approx_grid(tau_c, pilot_count, grid: ParamGrid) -> np.ndarray:
     """:func:`snr_approx` at every point of ``grid``.
 
     ``tau_c`` and ``pilot_count`` are one value for every point or one per
-    point.
+    point.  A ValueError names the first of them out of range.
     """
-    p, n = grid.params, grid.n_antennas
+    p, n, beta_sq = grid.params, grid.n_antennas, grid.beta_sq
     tau_c = np.broadcast_to(np.asarray(tau_c, dtype=float), n.shape)
-    k = np.broadcast_to(np.asarray(pilot_count), n.shape)
-    if not np.all((0 < tau_c) & (tau_c < p.coherence_time)):
-        raise ValueError(f"tau_c outside (0, {p.coherence_time})")
-    if not np.all((1 <= k) & (k <= n)):
-        raise ValueError("pilot_count outside [1, n_antennas]")
-    return _snr_approx(p, grid.beta_sq, n, tau_c, k)
+    bad = np.flatnonzero(~((0 < tau_c) & (tau_c < p.coherence_time)))
+    if bad.size:
+        raise ValueError(f"tau_c={tau_c[bad[0]]} outside (0, {p.coherence_time})")
+    k = _pilot_counts(pilot_count, n)
+    rho = 1.0 + (p.noise_var * k / (beta_sq * p.tag_amp_ce ** 2 * p.tx_power * tau_c))
+    a, b = _shape_coefficients(n)
+    return (_decoding_scale(p, beta_sq, p.coherence_time - tau_c)
+            * (a / rho + b / np.sqrt(rho) + 2.0))
 
 
 def approx_moments(flavor: str, cfg: PilotConfig, params: SystemParams,

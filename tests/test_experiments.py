@@ -92,7 +92,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("sweep", ["SNR_SWEEP", "K_SWEEP", "TAU_SWEEP", "N_SWEEP"])
     def test_given_beta_is_kept_outside_range_sweeps(self, tmp_path, sweep):
-        cfg = load_config(_write(tmp_path, f"n_antennas = 4\nbeta = 1e-3\nsweep = {sweep}\n"))
+        cfg = load_config(_write(tmp_path, f"beta = 1e-3\nsweep = {sweep}\n"))
         assert cfg.params.beta == 1e-3
 
     def test_unknown_key_warns_not_errors(self, tmp_path):
@@ -192,7 +192,7 @@ class TestWriteCsv:
     def test_single_row_two_lines(self, tmp_path):
         path = str(tmp_path / "out.csv")
         write_csv(ResultTable.from_rows([(1.0, "snr", 2.1488, 0.0, 100)]), path)
-        lines = open(path, encoding="utf-8").read().split("\n")
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
         assert lines[0] == "sweep_value,metric,value,std_error,trials"
         assert len(lines) == 3 and lines[2] == ""     # newline-terminated
         assert lines[1].split(",")[2] == "2.14880000000"
@@ -201,7 +201,7 @@ class TestWriteCsv:
         path = str(tmp_path / "out.csv")
         write_csv(ResultTable.from_rows([(0.5, "x", 6.807389387418555e-9, 0.0, 1)]),
                   path)
-        value = open(path, encoding="utf-8").read().split("\n")[1].split(",")[2]
+        value = Path(path).read_text(encoding="utf-8").split("\n")[1].split(",")[2]
         assert float(value) == pytest.approx(6.807389387418555e-9, rel=1e-11)
 
     def test_repeated_values_write_exactly_as_fmt(self, tmp_path):
@@ -449,6 +449,30 @@ def _blas_build():
     return f"{blas['name']} {blas['version']}"
 
 
+# Keys that a sweep's grid or optimizer supplies itself, beside beta in a
+# range sweep, as (sweep, config lines).  Each of these configs used to write
+# the same bytes as the config without those lines.  The load error names
+# the first line's key: the first of the given keys in the sweep's own order.
+_SUPPLIED_KEYS = [
+    ("SNR_SWEEP", "noise_var = 1e-15"),
+    ("TAU_SWEEP", "ce_time = 3e-4"),
+    ("TAU_SWEEP", "quantize_ce_time = true"),
+    ("K_SWEEP", "pilot_count = 2"),
+    ("N_SWEEP", "n_antennas = 7"),
+    ("N_SWEEP", "pilot_count = 3"),
+    ("JOINT", "distance = 7"),
+    ("JOINT", "ce_time = 3e-4"),
+    ("JOINT", "quantize_ce_time = true"),
+    ("JOINT", "pilot_count = 3"),
+    ("COMPARE", "distance = 7\npilot_count = 3"),
+    ("COMPARE", "pilot_count = 3"),
+]
+
+
+def _supplied_key(given: str) -> str:
+    return given.split(" =", 1)[0]
+
+
 class TestCli:
     def test_run_writes_csv_and_exit_zero(self, tmp_path):
         cfg = _write(tmp_path, """
@@ -462,7 +486,7 @@ class TestCli:
         out = str(tmp_path / "rows.csv")
         res = run_cli("run", "--config", cfg, "--out", out, "--workers", "1")
         assert res.returncode == 0, res.stderr
-        header = open(out, encoding="utf-8").readline().strip()
+        header = Path(out).read_text(encoding="utf-8").split("\n", 1)[0]
         assert header == "sweep_value,metric,value,std_error,trials"
 
     @pytest.mark.parametrize("openblas", [True, False])
@@ -526,16 +550,20 @@ class TestCli:
     @pytest.mark.parametrize("body, message", [
         # a range sweep derives beta at each range: the given one was dropped
         ("beta = 1e-3\nsweep = JOINT\nsweep_grid = 60, 100\n",
-         "JOINT derives beta from each range in sweep_grid; remove the beta key"),
+         "JOINT supplies beta itself; remove the beta key"),
         ("beta = 1e-3\nsweep = COMPARE\nsweep_grid = 60, 100\n",
-         "COMPARE derives beta from each range in sweep_grid; remove the beta key"),
+         "COMPARE supplies beta itself; remove the beta key"),
         # the dBm value won, so this ran at 0.1 W
         ("tx_power = 5\ntx_power_dbm = 20\nsweep = COMPARE\nsweep_grid = 60\n",
          "set tx_power or tx_power_dbm, not both"),
         # the last value used to win, so this ran at N = 8
         ("n_antennas = 4\n# resized\nn_antennas = 8\n",
          "line 3: 'n_antennas' is already set on line 1"),
-    ], ids=["JOINT-beta", "COMPARE-beta", "tx_power-tx_power_dbm", "key-set-twice"])
+        *[(f"{given}\nsweep = {sweep}\n", f"{sweep} supplies {_supplied_key(given)} "
+           f"itself; remove the {_supplied_key(given)} key")
+          for sweep, given in _SUPPLIED_KEYS],
+    ], ids=["JOINT-beta", "COMPARE-beta", "tx_power-tx_power_dbm", "key-set-twice",
+            *[f"{sweep}-{_supplied_key(given)}" for sweep, given in _SUPPLIED_KEYS]])
     def test_conflicting_keys_fail_at_load(self, tmp_path, capsys, monkeypatch, body,
                                            message):
         monkeypatch.setattr("bsc_estim.experiments.iter_experiment", pytest.fail)

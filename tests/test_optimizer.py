@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -314,8 +316,17 @@ class TestGridMatchesScalar:
             assert (design.tau_c_opt, design.k_opt) == joint_design_reference(p)
 
     def test_rejects_bad_pilot_count_and_training_time(self):
-        grid = _range_by_size_grid([100.0], [4])
-        with pytest.raises(ValueError, match="pilot_count"):
-            optimal_ta_grid(5, grid)
-        with pytest.raises(ValueError, match="tau_c"):
-            snr_approx_grid(1e-3, 1, grid)
+        grid = _range_by_size_grid([100.0], [4, 8])
+        # the error names the first value out of range and that point's bound
+        with pytest.raises(ValueError, match=re.escape("pilot_count=9 outside [1, 8]")):
+            optimal_ta_grid([4, 9], grid)
+        with pytest.raises(ValueError, match=re.escape("tau_c=0.001 outside (0, 0.001)")):
+            snr_approx_grid([1e-4, 1e-3], 1, grid)
+        # and so do the scalar forms, which are the grid forms at one point
+        p = grid.point(0)
+        with pytest.raises(ValueError, match=re.escape("tau_c=0.5 outside (0, 0.001)")):
+            snr_approx(0.5, 1, p)
+        with pytest.raises(ValueError, match=re.escape("pilot_count=5 outside [1, 4]")):
+            snr_approx(1e-4, 5, p)
+        with pytest.raises(ValueError, match=re.escape("pilot_count=5 outside [1, 4]")):
+            optimal_ta(5, p)
