@@ -52,16 +52,14 @@ class MatrixEstimate:
 
 @dataclass(frozen=True)
 class VectorEstimate:
-    """Recovered channel vector with the eigenvalue behind it.
+    """Recovered channel vector.
 
-    ``top_eigenvalue`` is the top eigenvalue of the realified head block of
-    the matrix estimate, at its own scale.  ``degenerate`` marks all-noise
-    inputs where no direction could be recovered; callers treat those as
-    zero beamforming gain.
+    ``degenerate`` marks all-noise inputs where no direction could be
+    recovered; ``h_hat`` is then zero, and callers treat it as zero
+    beamforming gain.
     """
 
     h_hat: np.ndarray
-    top_eigenvalue: float
     degenerate: bool = False
 
 
@@ -78,7 +76,7 @@ def ls_matrix(rx: ReceivedSignal) -> MatrixEstimate:
     if rx.y.shape[1] != k:
         raise ValueError(
             f"received block {rx.y.shape} inconsistent with {k} pilots")
-    e0 = float(np.linalg.norm(s0) ** 2) / k
+    e0 = _norm(s0) ** 2 / k
     if e0 <= 0:
         raise ValueError("pilot energy is zero; cannot invert the pilot block")
     h_hat = rx.y @ s0.conj().T / e0
@@ -169,7 +167,12 @@ def lmmse_matrix(ls: MatrixEstimate, beta: float, noise_var: float) -> MatrixEst
 
 
 def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm`` of a complex array bit for bit: the same two dots."""
+    """``np.linalg.norm`` of a real or complex array bit for bit.
+
+    The same dots on the same flattened copy: a strided view is raveled
+    first, since a dot over its strides can sum in another order, and a real
+    array's zero imaginary part adds exactly 0.0.
+    """
     flat = x.ravel(order="K")
     re, im = flat.real, flat.imag
     return math.sqrt(re.dot(re) + im.dot(im))
@@ -341,10 +344,11 @@ def _takagi_pair(s: np.ndarray) -> tuple[float, np.ndarray]:
     ||x||^2 >= 2.  Since v is built from u, this holds even when the top
     singular value is tied.
     """
-    _, u = np.linalg.eigh(s @ s.conj().T)
+    s_h = s.conj().T
+    _, u = np.linalg.eigh(s @ s_h)
     u_top = u[:, -1]
-    v = s.conj().T @ u_top
-    sigma = float(np.linalg.norm(v))
+    v = s_h @ u_top
+    sigma = _norm(v)
     if sigma <= _DEGENERATE_EIGENVALUE:
         return sigma, np.zeros(2 * len(s))
     v /= sigma
@@ -361,7 +365,7 @@ def _candidate(h_hat_matrix: np.ndarray, lam: float, v: np.ndarray) -> np.ndarra
     in the rest.  Serves the corners' Takagi pair and every mid-K pair.
     """
     n, k = h_hat_matrix.shape
-    vec = v / np.linalg.norm(v)
+    vec = v / _norm(v)
     h = np.zeros(n, dtype=complex)
     h[:k] = np.sqrt(lam / 2.0) * (vec[:k] + 1j * vec[k:])
     if k < n:
@@ -372,17 +376,12 @@ def _candidate(h_hat_matrix: np.ndarray, lam: float, v: np.ndarray) -> np.ndarra
 def _canonical_sign(h: np.ndarray) -> np.ndarray:
     """Fix the global sign: first significant entry gets Re >= 0, ties Im >= 0.
 
-    Purely cosmetic; every downstream metric is invariant under h -> -h.
+    An entry is significant when its modulus exceeds 1e-12 ||h||; the zero
+    vector has none and comes back unchanged.  Purely cosmetic; every
+    downstream metric is invariant under h -> -h.
     """
-    norm = np.linalg.norm(h)
-    if norm == 0:
-        return h
-    for x in h:
-        if abs(x) > 1e-12 * norm:
-            if x.real < 0 or (x.real == 0 and x.imag < 0):
-                return -h
-            return h
-    return h
+    x = h[np.argmax(np.abs(h) > 1e-12 * _norm(h))]
+    return -h if x.real < 0 or (x.real == 0 and x.imag < 0) else h
 
 
 # Refine every candidate when the positive spectrum is this small (covers
@@ -425,17 +424,15 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
     if m.ndim != 2 or not 1 <= m.shape[1] <= m.shape[0]:
         raise ValueError(f"matrix estimate must be N x K with 1 <= K <= N, got {m.shape}")
     n, k = m.shape
-    scale = float(np.linalg.norm(m))
-    if not np.isfinite(scale):
+    scale = _norm(m)
+    if not math.isfinite(scale):
         raise ValueError("matrix estimate contains non-finite entries")
     mn = m / scale if scale else m
     s = mn[:k].conj()
     s = s + s.T
     pairs = [_takagi_pair(s)] if k in (1, n) else _reduction_candidates(s)
-    lam = pairs[0][0] if pairs else 0.0
-    if lam <= _DEGENERATE_EIGENVALUE:
-        return VectorEstimate(h_hat=np.zeros(n, dtype=complex),
-                              top_eigenvalue=lam * scale, degenerate=True)
+    if not pairs or pairs[0][0] <= _DEGENERATE_EIGENVALUE:
+        return VectorEstimate(h_hat=np.zeros(n, dtype=complex), degenerate=True)
 
     candidates = [_candidate(mn, *pair) for pair in pairs]
     h = candidates[0]
@@ -447,5 +444,4 @@ def vector_estimate(est: MatrixEstimate) -> VectorEstimate:
         # the first of equal objectives wins
         h, _ = min((_refine(mn, cand, k) for cand in candidates), key=lambda fit: fit[1])
 
-    return VectorEstimate(h_hat=_canonical_sign(h) * np.sqrt(scale),
-                          top_eigenvalue=lam * scale)
+    return VectorEstimate(h_hat=_canonical_sign(h) * np.sqrt(scale))

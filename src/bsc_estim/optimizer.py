@@ -28,8 +28,12 @@ class OptimizationOutcome:
     tau_c_opt: float
     k_opt: int
     predicted_snr: float
-    decision_path: str           # CORNER_K1 or CORNER_KN
     estimator_choice: str        # LS or LMMSE
+
+    @property
+    def decision_path(self) -> str:
+        """The pilot-count corner of ``k_opt``: CORNER_K1 or CORNER_KN."""
+        return CORNER_K1 if self.k_opt == 1 else CORNER_KN
 
 
 def _derivative_terms(p: SystemParams, beta_sq, n, pilot_count, tau_c):
@@ -157,12 +161,10 @@ def joint_optimize(params: SystemParams) -> OptimizationOutcome:
     point.
     """
     tau_c, k, snr = joint_optimize_grid(ParamGrid.at(params))
-    k_opt = int(k[0])
     return OptimizationOutcome(
         tau_c_opt=float(tau_c[0]),
-        k_opt=k_opt,
+        k_opt=int(k[0]),
         predicted_snr=float(snr[0]),
-        decision_path=CORNER_K1 if k_opt == 1 else CORNER_KN,
         estimator_choice=LS,
     )
 

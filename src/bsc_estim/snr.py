@@ -46,6 +46,7 @@ from .channel import (
 from .estimators import (
     LMMSE,
     LS,
+    _norm,
     lmmse_matrix,
     ls_matrix,
     vector_estimate,
@@ -316,22 +317,20 @@ def _trial_chunk(args) -> dict[tuple[str, str], list[float]]:
                    else lmmse_matrix(est_ls, params.beta, params.noise_var))
             if "mse_mat" in metrics:
                 out[flavor, "mse_mat"].append(
-                    float(np.linalg.norm(est.h_hat_matrix - chan.cascaded) ** 2))
+                    _norm(est.h_hat_matrix - chan.cascaded) ** 2)
             if not needs_vector:
                 continue
             vest = vector_estimate(est)
             beam = 0.0
             if not vest.degenerate:
-                beam = float(abs(np.vdot(vest.h_hat, chan.h))
-                             / np.linalg.norm(vest.h_hat))
+                beam = float(abs(np.vdot(vest.h_hat, chan.h)) / _norm(vest.h_hat))
             if "p_r" in metrics:
                 out[flavor, "p_r"].append(beam ** 2)
             if "snr" in metrics:
                 out[flavor, "snr"].append(beam ** 4)
             if "mse_vec" in metrics:
-                out[flavor, "mse_vec"].append(float(min(
-                    np.linalg.norm(chan.h - vest.h_hat) ** 2,
-                    np.linalg.norm(chan.h + vest.h_hat) ** 2)))
+                out[flavor, "mse_vec"].append(min(
+                    _norm(chan.h - vest.h_hat) ** 2, _norm(chan.h + vest.h_hat) ** 2))
     return out
 
 

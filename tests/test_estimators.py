@@ -59,6 +59,17 @@ def _head_symmetric_part(m):
     return head + head.T
 
 
+def _top_sigma(m):
+    """Top eigenvalue of the realified head of M at M's own scale, from the
+    pair vector_estimate takes: the Takagi pair at K = 1 and K = N, the
+    principal reduction pair in between, both of the unit-normalized M."""
+    n, k = m.shape
+    scale = np.linalg.norm(m)
+    s = _head_symmetric_part(m / scale)
+    pair = _takagi_pair(s) if k in (1, n) else _reduction_candidates(s)[0]
+    return pair[0] * scale
+
+
 def _eigenpath_oracle(m):
     """Top eigenpair of the 2K x 2K realified head: (h, eigenvalue, objective)."""
     scale = np.linalg.norm(m)
@@ -281,7 +292,7 @@ class TestVectorEstimate:
                 err = min(np.linalg.norm(v.h_hat - h), np.linalg.norm(v.h_hat + h))
                 assert err <= 1e-8 * np.linalg.norm(h), (n, k)
                 assert not v.degenerate
-                assert v.top_eigenvalue == pytest.approx(
+                assert _top_sigma(est.h_hat_matrix) == pytest.approx(
                     2 * np.linalg.norm(h[:k]) ** 2, rel=1e-9)
 
     def test_noiseless_tail_from_linear_map(self):
@@ -403,7 +414,8 @@ class TestVectorEstimate:
                         err = min(np.linalg.norm(got.h_hat - h),
                                   np.linalg.norm(got.h_hat + h))
                         assert err <= 1e-12 * np.linalg.norm(h), case
-                        assert got.top_eigenvalue == pytest.approx(lam, rel=1e-12), case
+                        assert _top_sigma(est.h_hat_matrix) \
+                            == pytest.approx(lam, rel=1e-12), case
                         assert rank_one_objective(est.h_hat_matrix, got.h_hat) \
                             == pytest.approx(obj, rel=1e-12), case
 
@@ -427,7 +439,7 @@ class TestVectorEstimate:
         assert np.linalg.norm(s @ x - lam * x.conj()) <= 1e-12 * lam
         got = vector_estimate(MatrixEstimate(m, LS, E0))
         _, lam, obj = _eigenpath_oracle(m)
-        assert got.top_eigenvalue == pytest.approx(lam, rel=1e-12)
+        assert _top_sigma(m) == pytest.approx(lam, rel=1e-12)
         assert rank_one_objective(m, got.h_hat) == pytest.approx(obj, rel=1e-12)
 
     def test_k_equals_n_antisymmetric_head_is_degenerate(self):
@@ -445,7 +457,6 @@ class TestVectorEstimate:
             v = vector_estimate(est)
             assert v.degenerate
             assert np.all(v.h_hat == 0)
-            assert v.top_eigenvalue == 0.0
 
     def test_canonical_sign(self):
         rng = np.random.default_rng(67)
@@ -456,6 +467,18 @@ class TestVectorEstimate:
             lead = next(x for x in v.h_hat
                         if abs(x) > 1e-12 * np.linalg.norm(v.h_hat))
             assert lead.real > 0 or (lead.real == 0 and lead.imag >= 0)
+
+    @pytest.mark.parametrize("entries,flips", [
+        ([1e-13, -1, 2], True), ([-1e-13, 1, -2], False),  # lead below 1e-12 ||h||
+        ([-1j, 1], True), ([1j, -1], False),                # zero real part: Im decides
+        ([-2 - 1j, 1], True), ([3 - 1j, -1], False),
+        ([0, 0], False), ([-0.0 - 0.0j, 0], False),         # no significant entry
+    ])
+    def test_canonical_sign_rule(self, entries, flips):
+        h = np.array(entries, dtype=complex)
+        got = estimators._canonical_sign(h)
+        assert (got is h) != flips
+        assert np.array_equal(got, -h if flips else h)
 
     def test_sign_invariance_of_metrics(self):
         rng = np.random.default_rng(68)
@@ -525,7 +548,6 @@ class TestVectorEstimate:
             refined.clear()
             want = vector_estimate(est)
             assert got.h_hat.tobytes() == want.h_hat.tobytes()
-            assert got.top_eigenvalue == want.top_eigenvalue
             # the first refined start is the principal pair; a later start
             # wins when its fit is strictly better than every earlier one
             assert refined, "every noisy mid-K draw is refined"
@@ -562,6 +584,35 @@ class TestVectorEstimate:
         est = MatrixEstimate(np.ones(shape, complex), LS, E0)
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             vector_estimate(est)
+
+
+def _norm_cases():
+    """name -> arrays for _norm: contiguous and strided, real and complex,
+    1-D and 2-D.  The eigenvector columns are strided views like the ones
+    the recovery path takes norms of."""
+    rng = np.random.default_rng(72)
+    z = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    a = rng.standard_normal((40, 40))
+    b = a + 1j * rng.standard_normal((40, 40))
+    v_real = np.linalg.eigh(a + a.T)[1]
+    v_complex = np.linalg.eigh(b @ b.conj().T)[1]
+    return {
+        "complex 1-D": [z[:, 0].copy()],
+        "complex 2-D": [z, z.T],
+        "real 1-D": [a[0], a[0, ::2]],
+        "real 2-D": [a, a.T],
+        "real part view": [z[:, 1].copy().real, z.real],
+        "real eigh columns": list(v_real.T),
+        "complex eigh columns": list(v_complex.T),
+    }
+
+
+@pytest.mark.parametrize("name", list(_norm_cases()))
+def test_norm_equals_linalg_norm_bitwise(name):
+    for i, x in enumerate(_norm_cases()[name]):
+        got = estimators._norm(x)
+        assert isinstance(got, float)
+        assert got.hex() == float(np.linalg.norm(x)).hex(), (name, i)
 
 
 class TestDualBound:

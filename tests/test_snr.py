@@ -1,9 +1,11 @@
+import json
 import math
 import multiprocessing
 import os
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,8 @@ from bsc_estim.snr import (
 )
 from conftest import make_params, params_at_ce_snr_db, random_channel_vector, run_python
 from _oracles import corner_received_power, effective_snr_sample
+
+DATA = Path(__file__).parent / "data"
 
 # Training SNR at the reference configuration (tau_c = 0.1 ms), frozen from
 # a 40-digit evaluation of beta^2 a0^2 p_t tau_c / N0.
@@ -293,6 +297,24 @@ class TestMonteCarlo:
             for m in METRICS:
                 assert np.array(both[flavor, m]).tobytes() \
                     == np.array(alone[flavor, m]).tobytes(), (flavor, m)
+
+    def test_samples_match_frozen_fixture(self):
+        # every per-trial sample, as float.hex, at N = 6 for K = 1, mid-K and
+        # K = N, both flavors, every metric, at -5 and +10 dB; a mean over
+        # many trials can hide a one-ulp move in one sample, this cannot
+        fixture = json.loads((DATA / "trial_samples.json").read_text(encoding="utf-8"))
+        assert len(fixture["cases"]) == 6
+        for case in fixture["cases"]:
+            p = params_at_ce_snr_db(case["ce_snr_db"], tau_c=fixture["ce_time"],
+                                    n_antennas=fixture["n_antennas"])
+            cfg = PilotConfig(case["pilot_count"], fixture["ce_time"])
+            got = _mc_samples(p, cfg, (LS, LMMSE), fixture["trials"],
+                              fixture["seed"], METRICS)
+            assert len(case["samples"]) == len(got) == 8
+            for key, want in case["samples"].items():
+                flavor, metric = key.split("/")
+                assert [float(x).hex() for x in got[flavor, metric]] == want, \
+                    (case["ce_snr_db"], case["pilot_count"], key)
 
     @pytest.mark.parametrize("flavors,metrics", [
         ((), ("snr",)), (("LS", "LS"), ("snr",)), ("LS", ("snr",)),
