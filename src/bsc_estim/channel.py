@@ -30,7 +30,7 @@ over 140 decades from either end of the float range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -135,8 +135,10 @@ class ParamGrid:
     """Sweep points that share one :class:`SystemParams` except for the
     path-loss gain or the array size.
 
-    Point i is ``params`` with ``beta[i]`` and ``n_antennas[i]``; callers
-    keep both inside the operating envelope, as ``load_config`` does.
+    Point i is ``dataclasses.replace(params, beta=beta[i],
+    n_antennas=n_antennas[i])``; callers keep both inside the operating
+    envelope, as ``load_config`` does.  The grid forms read the points only
+    as these arrays, and a scalar form is its grid form at ``at(params)``.
     ``beta_sq[i]`` is ``beta[i] ** 2`` as the scalar formulas square it, so
     array formulas built on ``beta_sq`` round exactly as the scalar ones do.
     """
@@ -171,11 +173,6 @@ class ParamGrid:
 
     def take(self, index) -> "ParamGrid":
         return ParamGrid(self.params, self.beta[index], self.n_antennas[index])
-
-    def point(self, i: int) -> SystemParams:
-        """Point i as scalar :class:`SystemParams`."""
-        return replace(self.params, n_antennas=int(self.n_antennas[i]),
-                       beta=float(self.beta[i]))
 
 
 @dataclass(frozen=True)

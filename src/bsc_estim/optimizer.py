@@ -36,8 +36,8 @@ class OptimizationOutcome:
         return CORNER_K1 if self.k_opt == 1 else CORNER_KN
 
 
-def _derivative_terms(p: SystemParams, beta_sq, n, pilot_count, tau_c):
-    """The two terms of d(approximate SNR)/d(tau_c), up to a positive factor.
+def _snr_approx_slope(p: SystemParams, beta_sq, n, pilot_count, tau_c):
+    """d(approximate SNR)/d(tau_c), up to a positive factor.
 
     With rho = 1 + q / tau_c, q = N0 K / (beta^2 a0^2 p_t), and
     F(rho) = A/rho + B/sqrt(rho) + 2:
@@ -45,25 +45,17 @@ def _derivative_terms(p: SystemParams, beta_sq, n, pilot_count, tau_c):
         d/dtau_c [(tau - tau_c) F(rho)] =
             -F(rho) + (tau - tau_c) (q / tau_c^2) (A/rho^2 + B/(2 rho^1.5))
 
-    Returns F(rho) and the second term.
+    Every operation on a per-point input is +, -, *, / or sqrt, which IEEE
+    754 rounds correctly, so Python floats and numpy arrays give the same
+    bits.
     """
     a, b = _shape_coefficients(n)
     q = p.noise_var * pilot_count / (beta_sq * p.tag_amp_ce ** 2 * p.tx_power)
     rho = 1.0 + q / tau_c
-    f = a / rho + b / np.sqrt(rho) + 2.0
-    df = a / rho ** 2 + b / (2.0 * rho ** 1.5)
-    return f, (p.coherence_time - tau_c) * (q / tau_c ** 2) * df
-
-
-def _snr_approx_derivative(tau_c: float, pilot_count: int,
-                           params: SystemParams) -> float:
-    """d(approximate SNR)/d(tau_c) at one point, up to a positive factor.
-
-    Takes Python numbers, so ``rho ** 1.5`` is libm's pow.
-    """
-    f, rise = _derivative_terms(params, params.beta ** 2, params.n_antennas,
-                                pilot_count, tau_c)
-    return -f + rise
+    root = np.sqrt(rho)
+    f = a / rho + b / root + 2.0
+    df = a / (rho * rho) + b / (2.0 * (rho * root))
+    return -f + (p.coherence_time - tau_c) * (q / (tau_c * tau_c)) * df
 
 
 def optimal_ta(pilot_count: int, params: SystemParams) -> float:
@@ -77,35 +69,21 @@ def optimal_ta(pilot_count: int, params: SystemParams) -> float:
     return float(optimal_ta_grid(pilot_count, ParamGrid.at(params))[0])
 
 
-# Where the array derivative lies within this fraction of its two terms'
-# magnitudes of zero, its sign is taken from _snr_approx_derivative: numpy's
-# square and pow may round otherwise than libm's pow, by a few ulp.
-_SIGN_MARGIN = 1e-12
-
-
 def optimal_ta_grid(pilot_count, grid: ParamGrid) -> np.ndarray:
     """:func:`optimal_ta` at every point of ``grid``.
 
     ``pilot_count`` is one count for every point or one per point.  Every
     point bisects on its own bracket, from (1e-12, 1 - 1e-12) tau down to a
     width of 1e-9 tau, all points in one array pass; a point drops out when
-    its bracket is narrow enough.
-    Midpoints where the derivative is too close to zero for the array
-    arithmetic to settle its sign get it from the scalar derivative.
+    its bracket is narrow enough.  Each point's steps depend on that point
+    alone, so a point bisects to the same bits in any grid.
     """
     p, n = grid.params, grid.n_antennas
     k = _pilot_counts(pilot_count, n)
     tau = p.coherence_time
 
     def derivative(tau_c: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        f, rise = _derivative_terms(p, grid.beta_sq[idx], n[idx], k[idx], tau_c)
-        d = -f + rise
-        # not (|d| > margin), so that NaN goes to the scalar function too
-        unsure = ~(np.abs(d) > _SIGN_MARGIN * (np.abs(f) + np.abs(rise)))
-        for j in np.flatnonzero(unsure):
-            i = int(idx[j])
-            d[j] = _snr_approx_derivative(float(tau_c[j]), int(k[i]), grid.point(i))
-        return d
+        return _snr_approx_slope(p, grid.beta_sq[idx], n[idx], k[idx], tau_c)
 
     lo = np.full(n.shape, 1e-12 * tau)
     hi = np.full(n.shape, (1.0 - 1e-12) * tau)

@@ -71,8 +71,8 @@ class McEstimate:
     trials: int
 
 
-# These three take Python floats for mc_snr_scale, ce_snr and the
-# optimizer's scalar sign arbiter, and numpy arrays for the *_grid forms.
+# These three take Python floats (mc_snr_scale, ce_snr) or numpy arrays
+# (the *_grid forms and the optimizer).
 
 def _decoding_scale(p: SystemParams, beta_sq, t):
     """t p_t a_id^2 beta^2 / N0: decoding SNR per unit array gain of a slot t."""

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bsc_estim.channel import ParamGrid
 from bsc_estim.optimizer import (
     CORNER_K1,
     CORNER_KN,
+    _snr_approx_slope,
     joint_optimize_grid,
     optimal_ta_grid,
 )
@@ -111,11 +113,10 @@ class TestOptimalTa:
         assert peak >= vals.max() * (1 - 1e-9)
 
     def test_derivative_single_sign_change(self):
-        from bsc_estim.optimizer import _snr_approx_derivative
         p = make_params()
         tau = p.coherence_time
         grid = np.linspace(1e-6 * tau, (1 - 1e-6) * tau, 1000)
-        signs = np.sign([_snr_approx_derivative(t, 20, p) for t in grid])
+        signs = np.sign(_snr_approx_slope(p, p.beta ** 2, p.n_antennas, 20, grid))
         flips = np.sum(np.abs(np.diff(signs)) > 0)
         assert flips == 1
 
@@ -254,6 +255,12 @@ def _range_by_size_grid(ranges, sizes) -> ParamGrid:
                      [n for _ in beta for n in sizes])
 
 
+def _point(grid: ParamGrid, i: int):
+    """Point i of ``grid`` as scalar SystemParams."""
+    return replace(grid.params, n_antennas=int(grid.n_antennas[i]),
+                   beta=float(grid.beta[i]))
+
+
 def _grid_vs_scalar_mismatches(grid: ParamGrid, tau_c0: float = 1e-4) -> list[int]:
     """Points where a grid function's or a scalar function's float.hex
     differs from the frozen scalar reference's."""
@@ -268,7 +275,7 @@ def _grid_vs_scalar_mismatches(grid: ParamGrid, tau_c0: float = 1e-4) -> list[in
     rows = zip(*(c.tolist() for c in columns))
     bad = []
     for i, got in enumerate(rows):
-        p = grid.point(i)
+        p = _point(grid, i)
         n_p = p.n_antennas
         ref_1 = optimal_ta_reference(1, p)
         ref_n = optimal_ta_reference(n_p, p)
@@ -297,23 +304,38 @@ class TestGridMatchesScalar:
         assert grid.n_antennas.size >= 10_000
         assert _grid_vs_scalar_mismatches(grid) == []
 
-    def test_bitwise_with_every_sign_from_the_scalar_arbiter(self, monkeypatch):
-        calls = []
-        scalar = optimizer._snr_approx_derivative
-        monkeypatch.setattr(optimizer, "_SIGN_MARGIN", np.inf)
-        monkeypatch.setattr(optimizer, "_snr_approx_derivative",
-                            lambda *a: calls.append(a) or scalar(*a))
+    def test_each_point_bisects_as_in_a_grid_of_one(self):
         grid = _range_by_size_grid([1.0, 30.0, 75.0, 76.0, 250.0, 2000.0],
                                    [1, 2, 3, 8, 20, 64, 128])
-        assert _grid_vs_scalar_mismatches(grid) == []
-        # every bisection step of every point went through the arbiter
-        assert len(calls) > 30 * grid.n_antennas.size
-        # and the package's scalar functions still match their frozen copies
-        for i in range(grid.n_antennas.size):
-            p = grid.point(i)
+        n = grid.n_antennas
+        whole = [optimal_ta_grid(1, grid), optimal_ta_grid(n, grid),
+                 *joint_optimize_grid(grid)]
+        for i in range(n.size):
+            one = grid.take([i])
+            alone = [optimal_ta_grid(1, one), optimal_ta_grid(n[i], one),
+                     *joint_optimize_grid(one)]
+            assert [c[i].tobytes() for c in whole] == [c.tobytes() for c in alone]
+            # and the scalar forms are the same bisection at that point
+            p = _point(grid, i)
             design = joint_optimize(p)
-            assert optimal_ta(1, p).hex() == optimal_ta_reference(1, p).hex()
-            assert (design.tau_c_opt, design.k_opt) == joint_design_reference(p)
+            assert optimal_ta(1, p) == whole[0][i]
+            assert (design.tau_c_opt, design.k_opt) == (whole[2][i], whole[3][i])
+
+    def test_slope_has_the_same_bits_on_floats_and_arrays(self):
+        rng = np.random.default_rng(2026)
+        base = make_params()
+        size = 400
+        beta = [path_loss_beta(base.carrier_freq, d, base.pathloss_exp)
+                for d in np.geomspace(1.0, 2000.0, size)]
+        beta_sq = np.array([b ** 2 for b in rng.permutation(beta).tolist()])
+        n = rng.integers(1, 129, size)
+        k = np.array([rng.integers(1, m + 1) for m in n.tolist()])
+        tau_c = base.coherence_time * np.exp(rng.uniform(np.log(1e-12), 0.0, size))
+        array = _snr_approx_slope(base, beta_sq, n, k, tau_c)
+        floats = [_snr_approx_slope(base, *point)
+                  for point in zip(beta_sq.tolist(), n.tolist(), k.tolist(),
+                                   tau_c.tolist())]
+        assert [float(x).hex() for x in floats] == [x.hex() for x in array.tolist()]
 
     def test_rejects_bad_pilot_count_and_training_time(self):
         grid = _range_by_size_grid([100.0], [4, 8])
@@ -323,7 +345,7 @@ class TestGridMatchesScalar:
         with pytest.raises(ValueError, match=re.escape("tau_c=0.001 outside (0, 0.001)")):
             snr_approx_grid([1e-4, 1e-3], 1, grid)
         # and so do the scalar forms, which are the grid forms at one point
-        p = grid.point(0)
+        p = _point(grid, 0)
         with pytest.raises(ValueError, match=re.escape("tau_c=0.5 outside (0, 0.001)")):
             snr_approx(0.5, 1, p)
         with pytest.raises(ValueError, match=re.escape("pilot_count=5 outside [1, 4]")):
