@@ -138,9 +138,9 @@ class ParamGrid:
     Point i is ``dataclasses.replace(params, beta=beta[i],
     n_antennas=n_antennas[i])``; callers keep both inside the operating
     envelope, as ``load_config`` does.  The grid forms read the points only
-    as these arrays, and a scalar form is its grid form at ``at(params)``.
-    ``beta_sq[i]`` is ``beta[i] ** 2`` as the scalar formulas square it, so
-    array formulas built on ``beta_sq`` round exactly as the scalar ones do.
+    as these arrays.  ``beta_sq[i]`` is ``beta[i] ** 2`` as the scalar forms
+    square it, so a formula body that both forms share rounds alike on
+    floats and on these arrays.
     """
 
     def __init__(self, params: SystemParams, beta, n_antennas) -> None:
@@ -153,11 +153,6 @@ class ParamGrid:
         self.beta = beta                                  # float (P,)
         self.n_antennas = n                               # int (P,)
         self.beta_sq = np.array([b ** 2 for b in beta.tolist()])
-
-    @classmethod
-    def at(cls, params: SystemParams) -> "ParamGrid":
-        """``params`` as a grid of one point."""
-        return cls(params, [params.beta], [params.n_antennas])
 
     @classmethod
     def over_ranges(cls, params: SystemParams, distances) -> "ParamGrid":

@@ -66,7 +66,8 @@ def optimal_ta(pilot_count: int, params: SystemParams) -> float:
     converges to the interior maximizer.  This is :func:`optimal_ta_grid`
     at one point.
     """
-    return float(optimal_ta_grid(pilot_count, ParamGrid.at(params))[0])
+    grid = ParamGrid.over_antennas(params, [params.n_antennas])
+    return float(optimal_ta_grid(pilot_count, grid)[0])
 
 
 def optimal_ta_grid(pilot_count, grid: ParamGrid) -> np.ndarray:
@@ -138,13 +139,9 @@ def joint_optimize(params: SystemParams) -> OptimizationOutcome:
     re-optimized at that corner.  This is :func:`joint_optimize_grid` at one
     point.
     """
-    tau_c, k, snr = joint_optimize_grid(ParamGrid.at(params))
-    return OptimizationOutcome(
-        tau_c_opt=float(tau_c[0]),
-        k_opt=int(k[0]),
-        predicted_snr=float(snr[0]),
-        estimator_choice=LS,
-    )
+    tau_c, k, snr = joint_optimize_grid(ParamGrid.over_antennas(params, [params.n_antennas]))
+    return OptimizationOutcome(tau_c_opt=float(tau_c[0]), k_opt=int(k[0]),
+                               predicted_snr=float(snr[0]), estimator_choice=LS)
 
 
 def joint_optimize_grid(grid: ParamGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -71,8 +71,9 @@ class McEstimate:
     trials: int
 
 
-# These three take Python floats (mc_snr_scale, ce_snr) or numpy arrays
-# (the *_grid forms and the optimizer).
+# Each closed-form SNR has one body of (p, beta^2, N[, K, tau_c]) built from
+# +, -, *, / and sqrt only, which IEEE 754 rounds correctly, so the scalar
+# forms (Python floats) and the *_grid forms (numpy arrays) give the same bits.
 
 def _decoding_scale(p: SystemParams, beta_sq, t):
     """t p_t a_id^2 beta^2 / N0: decoding SNR per unit array gain of a slot t."""
@@ -88,6 +89,20 @@ def _shape_coefficients(n):
     return (n - 1) * (n - 2), 4.0 * (n - 1)
 
 
+def _check_range(ok, name: str, value, interval: str, bound) -> None:
+    """Raise ``ValueError("<name>=<value> outside <interval>")`` at the first
+    point where the range test ``ok`` fails, ``interval`` formatting that
+    point's ``bound``.
+
+    ``ok`` is a Python bool at one point, where True returns at once, or a
+    bool per point; ``value`` and ``bound`` are scalars or one per point.
+    """
+    if ok is not True and not np.all(ok):
+        i = np.flatnonzero(np.logical_not(ok))[0]
+        value, bound = (np.broadcast_to(x, np.shape(ok)).flat[i] for x in (value, bound))
+        raise ValueError(f"{name}={value} outside " + interval.format(bound))
+
+
 def ce_snr(cfg: PilotConfig, params: SystemParams) -> float:
     """Average backscattered SNR available to the training phase.
 
@@ -97,26 +112,36 @@ def ce_snr(cfg: PilotConfig, params: SystemParams) -> float:
     return _ce_snr(params, params.beta ** 2, cfg.ce_time)
 
 
+def _snr_perfect_csi(p: SystemParams, beta_sq, n):
+    return (p.coherence_time * p.tx_power * p.tag_amp_id ** 2
+            * n * (n + 1) * beta_sq / p.noise_var)
+
+
 def snr_perfect_csi(params: SystemParams) -> float:
     """Decoding SNR with a genie channel: tau p_t a_id^2 N(N+1) beta^2 / N0."""
-    return float(snr_perfect_csi_grid(ParamGrid.at(params))[0])
+    return float(_snr_perfect_csi(params, params.beta ** 2, params.n_antennas))
 
 
 def snr_perfect_csi_grid(grid: ParamGrid) -> np.ndarray:
     """:func:`snr_perfect_csi` at every point of ``grid``."""
-    p, n = grid.params, grid.n_antennas
-    return (p.coherence_time * p.tx_power * p.tag_amp_id ** 2
-            * n * (n + 1) * grid.beta_sq / p.noise_var)
+    return _snr_perfect_csi(grid.params, grid.beta_sq, grid.n_antennas)
 
 
 def snr_isotropic(params: SystemParams) -> float:
     """Decoding SNR of blind equal-weight transmission: 2 tau p_t a_id^2 beta^2 / N0."""
-    return float(snr_isotropic_grid(ParamGrid.at(params))[0])
+    return float(_decoding_scale(params, params.beta ** 2, 2.0 * params.coherence_time))
 
 
 def snr_isotropic_grid(grid: ParamGrid) -> np.ndarray:
     """:func:`snr_isotropic` at every point of ``grid``."""
     return _decoding_scale(grid.params, grid.beta_sq, 2.0 * grid.params.coherence_time)
+
+
+def _snr_approx(p: SystemParams, beta_sq, n, pilot_count, tau_c):
+    rho = 1.0 + (p.noise_var * pilot_count / (beta_sq * p.tag_amp_ce ** 2 * p.tx_power * tau_c))
+    a, b = _shape_coefficients(n)
+    return (_decoding_scale(p, beta_sq, p.coherence_time - tau_c)
+            * (a / rho + b / np.sqrt(rho) + 2.0))
 
 
 def snr_approx(tau_c: float, pilot_count: int, params: SystemParams) -> float:
@@ -128,10 +153,13 @@ def snr_approx(tau_c: float, pilot_count: int, params: SystemParams) -> float:
             * [ (N-1)(N-2)/rho + 4(N-1)/sqrt(rho) + 2 ]
 
     Identical for the LS and LMMSE front ends.  Concave in tau_c on
-    (0, tau) and convex in the integer-relaxed pilot count.  This is
-    :func:`snr_approx_grid` at one point.
+    (0, tau) and convex in the integer-relaxed pilot count.  Gives the bits
+    of :func:`snr_approx_grid` at the same point.
     """
-    return float(snr_approx_grid(tau_c, pilot_count, ParamGrid.at(params))[0])
+    tau, n, tau_c = params.coherence_time, params.n_antennas, float(tau_c)
+    _check_range(0 < tau_c < tau, "tau_c", tau_c, "(0, {})", tau)
+    _check_range(1 <= pilot_count <= n, "pilot_count", pilot_count, "[1, {}]", n)
+    return float(_snr_approx(params, params.beta ** 2, n, pilot_count, tau_c))
 
 
 def _pilot_counts(pilot_count, n: np.ndarray) -> np.ndarray:
@@ -140,9 +168,7 @@ def _pilot_counts(pilot_count, n: np.ndarray) -> np.ndarray:
     Raises ValueError naming the first count outside [1, N].
     """
     k = np.broadcast_to(np.asarray(pilot_count), n.shape)
-    bad = np.flatnonzero(~((1 <= k) & (k <= n)))
-    if bad.size:
-        raise ValueError(f"pilot_count={k[bad[0]]} outside [1, {n[bad[0]]}]")
+    _check_range((1 <= k) & (k <= n), "pilot_count", k, "[1, {}]", n)
     return k
 
 
@@ -152,16 +178,10 @@ def snr_approx_grid(tau_c, pilot_count, grid: ParamGrid) -> np.ndarray:
     ``tau_c`` and ``pilot_count`` are one value for every point or one per
     point.  A ValueError names the first of them out of range.
     """
-    p, n, beta_sq = grid.params, grid.n_antennas, grid.beta_sq
+    p, n, tau = grid.params, grid.n_antennas, grid.params.coherence_time
     tau_c = np.broadcast_to(np.asarray(tau_c, dtype=float), n.shape)
-    bad = np.flatnonzero(~((0 < tau_c) & (tau_c < p.coherence_time)))
-    if bad.size:
-        raise ValueError(f"tau_c={tau_c[bad[0]]} outside (0, {p.coherence_time})")
-    k = _pilot_counts(pilot_count, n)
-    rho = 1.0 + (p.noise_var * k / (beta_sq * p.tag_amp_ce ** 2 * p.tx_power * tau_c))
-    a, b = _shape_coefficients(n)
-    return (_decoding_scale(p, beta_sq, p.coherence_time - tau_c)
-            * (a / rho + b / np.sqrt(rho) + 2.0))
+    _check_range((0 < tau_c) & (tau_c < tau), "tau_c", tau_c, "(0, {})", tau)
+    return _snr_approx(p, grid.beta_sq, n, _pilot_counts(pilot_count, n), tau_c)
 
 
 def approx_moments(flavor: str, cfg: PilotConfig, params: SystemParams,

@@ -344,11 +344,28 @@ class TestGridMatchesScalar:
             optimal_ta_grid([4, 9], grid)
         with pytest.raises(ValueError, match=re.escape("tau_c=0.001 outside (0, 0.001)")):
             snr_approx_grid([1e-4, 1e-3], 1, grid)
-        # and so do the scalar forms, which are the grid forms at one point
+        # and so do the scalar forms, in the same words for float, int and
+        # numpy scalar inputs
         p = _point(grid, 0)
         with pytest.raises(ValueError, match=re.escape("tau_c=0.5 outside (0, 0.001)")):
             snr_approx(0.5, 1, p)
+        with pytest.raises(ValueError, match=re.escape("tau_c=0.0 outside (0, 0.001)")):
+            snr_approx(0, 1, p)
+        with pytest.raises(ValueError, match=re.escape("tau_c=0.002 outside (0, 0.001)")):
+            snr_approx(np.float64(2e-3), 1, p)
         with pytest.raises(ValueError, match=re.escape("pilot_count=5 outside [1, 4]")):
             snr_approx(1e-4, 5, p)
         with pytest.raises(ValueError, match=re.escape("pilot_count=5 outside [1, 4]")):
+            snr_approx(1e-4, np.int64(5), p)
+        with pytest.raises(ValueError, match=re.escape("pilot_count=5 outside [1, 4]")):
             optimal_ta(5, p)
+
+    def test_scalar_closed_forms_build_no_grid(self, monkeypatch):
+        p = make_params()
+        want = [snr_approx(1e-4, 20, p), snr_perfect_csi(p), snr_isotropic(p)]
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a scalar closed form built a ParamGrid")
+
+        monkeypatch.setattr(ParamGrid, "__init__", no_grid)
+        assert [snr_approx(1e-4, 20, p), snr_perfect_csi(p), snr_isotropic(p)] == want

@@ -8,7 +8,8 @@ So a statement split over several lines counts every line it spans.
     python3 tools/count_code_lines.py src/bsc_estim
     python3 tools/count_code_lines.py src/bsc_estim/experiments.py
 
-Prints one line per file and, for more than one file, their total.
+Prints one line per file and, for more than one file, their total.  Exits
+with status 2, printing one line to stderr, when a path does not exist.
 """
 
 from __future__ import annotations
@@ -38,11 +39,17 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
+    if argv and argv[0] in ("-h", "--help"):
+        print(__doc__.strip())
+        return 0
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     files = []
     for arg in map(Path, argv):
+        if not arg.exists():
+            print(f"count_code_lines: no such file or directory: {arg}", file=sys.stderr)
+            return 2
         files += sorted(arg.rglob("*.py")) if arg.is_dir() else [arg]
     total = 0
     for path in files:
