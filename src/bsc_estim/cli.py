@@ -1,7 +1,13 @@
 """Command-line front end: run sweeps, print the joint design, self-test.
 
-numpy is imported inside the commands, not here, so that :func:`main` can
-choose OpenBLAS's thread count before numpy loads it.
+Exit codes: 0 on success, 1 for a configuration error, 2 for any other
+failure.  The commands raise, and :func:`main` alone maps what they raise
+to its code and one ``config error:`` or ``runtime error:`` line on
+stderr, with no traceback.  A self-test check that reports FAIL exits 2.
+
+numpy, and every module that loads it, is imported inside the functions,
+not here, so that :func:`main` can choose OpenBLAS's thread count before
+numpy loads it.
 """
 
 from __future__ import annotations
@@ -91,26 +97,17 @@ def _cmd_run(args) -> int:
 
     overrides = {"seed": args.seed, "trials": args.trials,
                  "workers": args.workers, "output_path": args.out}
-    try:
-        # replace() re-checks each override against the config's own rule
-        cfg = replace(load_config(args.config),
-                      **{k: v for k, v in overrides.items() if v is not None})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    # replace() re-checks each override against the config's own rule
+    cfg = replace(load_config(args.config),
+                  **{k: v for k, v in overrides.items() if v is not None})
     # checked before the sweep runs, not when its rows are written
     if not cfg.output_path:
-        print("config error: output path is empty", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("output path is empty")
     directory = os.path.dirname(cfg.output_path) or "."
     if not os.path.isdir(directory):
-        print(f"config error: output directory does not exist: {directory!r}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"output directory does not exist: {directory!r}")
     if os.path.isdir(cfg.output_path):
-        print(f"config error: output path is a directory: {cfg.output_path!r}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"output path is a directory: {cfg.output_path!r}")
 
     cfg = replace(cfg, workers=resolve_workers(cfg.workers))
     print(_run_header(cfg.workers), file=sys.stderr)
@@ -118,7 +115,7 @@ def _cmd_run(args) -> int:
     try:
         for table in iter_experiment(cfg):
             tables.append(table)
-    except Exception as exc:  # noqa: BLE001 - flush what we have, then report
+    except Exception:
         if tables:
             # never at the output path, where it would pass for a whole run
             partial = f"{cfg.output_path}.partial"
@@ -130,14 +127,9 @@ def _cmd_run(args) -> int:
             except Exception as write_exc:  # noqa: BLE001 - say what was lost
                 print(f"could not write partial rows to {partial}: {write_exc}",
                       file=sys.stderr)
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    try:
-        rows = ResultTable.concat(tables)
-        write_csv(rows, cfg.output_path)
-    except Exception as exc:  # noqa: BLE001
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise
+    rows = ResultTable.concat(tables)
+    write_csv(rows, cfg.output_path)
     print(f"wrote {len(rows)} rows to {cfg.output_path}")
     return EXIT_OK
 
@@ -145,19 +137,11 @@ def _cmd_run(args) -> int:
 def _cmd_optimize(args) -> int:
     import numpy as np
 
-    from .experiments import ConfigError, load_config
+    from .experiments import load_config
     from .optimizer import decide
 
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        outcome = decide(cfg.params, cfg.has_prior_stats)
-    except Exception as exc:  # noqa: BLE001
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    cfg = load_config(args.config)
+    outcome = decide(cfg.params, cfg.has_prior_stats)
     print(json.dumps({
         "tau_c_opt": outcome.tau_c_opt,
         "k_opt": outcome.k_opt,
@@ -208,7 +192,7 @@ def _selftest_checks():
     yield "optimal time allocation vs grid", abs(tau_opt - best) <= grid[1] - grid[0]
 
 
-def _cmd_selftest() -> int:
+def _cmd_selftest(args) -> int:
     failures = 0
     for name, ok in _selftest_checks():
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -222,11 +206,17 @@ def _cmd_selftest() -> int:
 def main(argv: list[str] | None = None) -> int:
     _default_blas_threads()
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "optimize":
-        return _cmd_optimize(args)
-    return _cmd_selftest()
+    from .experiments import ConfigError
+
+    commands = {"run": _cmd_run, "optimize": _cmd_optimize, "selftest": _cmd_selftest}
+    try:
+        return commands[args.command](args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except Exception as exc:  # noqa: BLE001 - every other failure is one line
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

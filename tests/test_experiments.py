@@ -593,6 +593,24 @@ class TestCli:
         assert rc == 2
         assert "runtime error: injected failure after one table" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,target", [
+        ("run", "bsc_estim.cli._run_header"),
+        ("optimize", "bsc_estim.experiments.load_config"),
+        ("selftest", "bsc_estim.cli._selftest_checks"),
+    ], ids=["run", "optimize", "selftest"])
+    def test_unplanned_failure_is_one_runtime_error_line(self, tmp_path, capsys,
+                                                         monkeypatch, command, target):
+        # a traceback would exit 1, which reads as a config error
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(target, boom)
+        argv = {"run": ["--config", _write(tmp_path, "trials = 3\n"),
+                        "--out", str(tmp_path / "rows.csv")],
+                "optimize": ["--config", _write(tmp_path, "")], "selftest": []}[command]
+        assert cli.main([command, *argv]) == 2
+        assert capsys.readouterr().err == "runtime error: boom\n"
+
     @pytest.mark.parametrize("via,empty", [
         ("--out", False), ("output_path", False),
         # an empty path ran every point, then failed to write with exit 2
